@@ -23,6 +23,7 @@ from .metrics import (
     LinearDistanceResult,
     WalkTrace,
     barrier_walk_bound,
+    distance,
     distance_bruteforce,
     distance_dp,
     energy_cost,
@@ -78,6 +79,7 @@ __all__ = [
     "clean_subsystem",
     "compress_qubits",
     "contained_subgroup",
+    "distance",
     "distance_bruteforce",
     "distance_dp",
     "energy_cost",

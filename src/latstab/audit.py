@@ -15,15 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .barrier import barrier_exact
 from .codes import STABILIZER, CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import CapacityError, LatstabError, PreconditionError
+from .errors import LatstabError, PreconditionError
 from .geometry import min_window
 from .groups import get_structure
-from .metrics import (
-    barrier_walk_bound,
-    distance_bruteforce,
-    distance_dp,
-    linear_distance,
-)
+from .metrics import barrier_walk_bound, distance, linear_distance
 from .transforms import minimal_block_search, strip_sweep
 from .zoo import FAMILIES
 
@@ -78,19 +73,6 @@ def _center_is_local(code: CodeSpec) -> bool:
     return True
 
 
-def _exact_distance_metric(code: CodeSpec, budgets: Budgets):
-    """(value, method, witness) with the DP primary and enumeration fallback."""
-    try:
-        res = distance_dp(code, mode="subsystem", budgets=budgets)
-        return res.value, "dp", res.witness
-    except CapacityError:
-        pass
-    res = distance_bruteforce(code, "subsystem", budgets=budgets)
-    if res.status == "exact":
-        return res.value, "bruteforce", res.witness
-    return None, f"lower_bound>{res.lower_bound - 1}", None
-
-
 def audit_instance(family: str, code: CodeSpec, params: Dict,
                    budgets: Budgets = DEFAULT_BUDGETS) -> InstanceRecord:
     st = get_structure(code)
@@ -111,7 +93,11 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
     r = code.declared_r
     cross = lat.L ** (lat.D - 1)
 
-    d, d_method, d_witness = _exact_distance_metric(code, budgets)
+    dres = distance(code, "subsystem", budgets=budgets)
+    if dres.status == "lower_bound":
+        d, d_method, d_witness = None, f"lower_bound>{dres.lower_bound - 1}", None
+    else:
+        d, d_method, d_witness = dres.value, dres.method, dres.witness
     rec.metrics["d"] = d
     rec.metrics["d_method"] = d_method
     if d_witness is not None:

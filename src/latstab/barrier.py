@@ -23,7 +23,7 @@ import numpy as np
 from .codes import CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import CapacityError, ValidationError
-from .gf2 import parity, solve
+from .gf2 import pairings, parity, solve
 from .groups import get_structure
 from .metrics import BarrierResult, WalkTrace
 from .pauli import PauliOp, omega
@@ -92,10 +92,7 @@ class _Quotient:
             self.gen_masks.append(mask)
 
     def label_of_vec(self, v: int) -> int:
-        out = 0
-        for i, row in enumerate(self.u_omega):
-            out |= parity(v & row) << i
-        return out
+        return pairings(v, self.u_omega)
 
     def lift_class_mask(self, class_mask: Optional[int]) -> int:
         """Map a used-pair class mask (bit 2j/2j+1 layout) into label bits."""

@@ -22,15 +22,10 @@ from .audit import audit_family, record_to_jsonable
 from .barrier import barrier_exact
 from .codes import CodeSpec, parse_code, serialize_code
 from .config import Budgets
-from .errors import LatstabError
+from .errors import CodeFormatError, LatstabError
 from .geometry import Region
 from .groups import get_structure
-from .metrics import (
-    barrier_walk_bound,
-    distance_bruteforce,
-    distance_dp,
-    linear_distance,
-)
+from .metrics import barrier_walk_bound, distance, linear_distance
 from .transforms import (
     clean_stabilizer,
     clean_subsystem,
@@ -67,7 +62,11 @@ def _emit(report: Dict, out: Optional[str]):
 def _load_code(path: str) -> tuple[CodeSpec, str]:
     with open(path, "rb") as fh:
         data = fh.read()
-    return parse_code(data.decode()), _digest(data)
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        raise CodeFormatError(f"code file is not UTF-8: {e}")
+    return parse_code(text), _digest(data)
 
 
 def _parse_box(spec: str, lattice) -> Region:
@@ -252,15 +251,7 @@ def _cmd_validate(args) -> int:
 def _cmd_distance(args) -> int:
     code, digest = _load_code(args.code)
     budgets = _budgets(args)
-    if args.method == "dp":
-        res = distance_dp(code, axis=args.axis, mode=args.mode, budgets=budgets)
-    elif args.method == "bruteforce":
-        res = distance_bruteforce(code, args.mode, budgets=budgets)
-    else:
-        try:
-            res = distance_dp(code, axis=args.axis, mode=args.mode, budgets=budgets)
-        except LatstabError:
-            res = distance_bruteforce(code, args.mode, budgets=budgets)
+    res = distance(code, args.mode, axis=args.axis, method=args.method, budgets=budgets)
     payload = {
         "result": {
             "value": res.value,

@@ -130,9 +130,6 @@ class CodeSpec:
                 mask |= 1 << q
         return mask
 
-    def restrict_op(self, op: PauliOp, region: Region) -> PauliOp:
-        return op.restrict(self.qubit_mask_in(region))
-
     def bounding_extent(self, op: PauliOp, axis: int) -> int:
         """Minimal contiguous (cyclic if periodic) axis window covering the
         support's anchor vertices; 0 for the identity by convention."""
@@ -280,6 +277,13 @@ def serialize_code(code: CodeSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(line: str, key: str, lineno: int) -> int:
+    try:
+        return int(line[len(key):])
+    except ValueError:
+        raise CodeFormatError(f"bad integer in {line!r}", lineno)
+
+
 def parse_code(text: str) -> CodeSpec:
     lattice = None
     name = ""
@@ -303,9 +307,9 @@ def parse_code(text: str) -> CodeSpec:
         elif line.startswith("role="):
             role = line[len("role="):]
         elif line.startswith("r="):
-            declared_r = int(line[len("r="):])
+            declared_r = _parse_int(line, "r=", lineno)
         elif line.startswith("scale="):
-            scale = int(line[len("scale="):])
+            scale = _parse_int(line, "scale=", lineno)
         elif line == "qubits:":
             in_qubits = True
             cells = []

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 def parity(x: int) -> int:
@@ -12,6 +12,15 @@ def parity(x: int) -> int:
 def low_bit(x: int) -> int:
     """Index of the lowest set bit. x must be nonzero."""
     return (x & -x).bit_length() - 1
+
+
+def pairings(v: int, rows: Sequence[int]) -> int:
+    """Bit i is parity(v & rows[i]); with omega-swapped rows, bit i is set
+    exactly when v anticommutes with row i's operator."""
+    out = 0
+    for i, row in enumerate(rows):
+        out |= parity(v & row) << i
+    return out
 
 
 def rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:

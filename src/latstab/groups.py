@@ -8,6 +8,7 @@ makes membership exponent vectors and every derived basis deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -78,11 +79,13 @@ def centralizer(basis: GroupBasis) -> GroupBasis:
     return GroupBasis(n, gf2.nullspace(rows, 2 * n))
 
 
+def _intersection(a: GroupBasis, b: GroupBasis) -> GroupBasis:
+    return GroupBasis(a.n, gf2.intersect_spans(list(a.rows), list(b.rows), 2 * a.n))
+
+
 def center(basis: GroupBasis) -> GroupBasis:
     """Span of the group intersected with its centralizer."""
-    cent = centralizer(basis)
-    rows = gf2.intersect_spans(list(basis.rows), list(cent.rows), 2 * basis.n)
-    return GroupBasis(basis.n, rows)
+    return _intersection(basis, centralizer(basis))
 
 
 def restrict_group(basis: GroupBasis, qubit_mask: int) -> GroupBasis:
@@ -203,9 +206,11 @@ def _orient_pair(n: int, a: int, b: int) -> Tuple[int, int]:
 class CodeStructure:
     """Cached group-theoretic decomposition of a code.
 
-    Provides the stabilizer group (center for gauge codes), centralizers, a
-    deterministic logical basis split into used and gauge pairs, and the
-    linear syndrome / logical-class maps.
+    Construction computes the gauge group, its centralizer, the stabilizer
+    group (center for gauge codes), the counts s, g, k and the syndrome maps.
+    The deterministic logical basis (used and gauge pairs) and the
+    logical-class map are built on first read, since callers that need only
+    the counts, such as the minimal-block search, never read them.
     """
 
     def __init__(self, code: CodeSpec):
@@ -216,17 +221,17 @@ class CodeStructure:
         self.gen_omega = tuple(omega(v, n) for v in self.gen_vectors)
         self.G = span_basis(n, code.generators)
         self.CG = centralizer(self.G)
-        if code.role == STABILIZER:
-            self.S = self.G
-            self.CS = self.CG
-        else:
-            self.S = center(self.G)
-            self.CS = centralizer(self.S)
+        self.S = self.G if code.role == STABILIZER else _intersection(self.G, self.CG)
         self.s = self.S.rank
         if (self.G.rank - self.s) % 2:
             raise ValidationError("gauge rank minus center rank must be even")
         self.g = (self.G.rank - self.s) // 2
         self.k = n - self.s - self.g
+        self.stab_omega = tuple(omega(r, n) for r in self.S.rows)
+
+    @cached_property
+    def logicals(self) -> LogicalBasis:
+        n = self.n
 
         def sort_key(v):
             return (PauliOp.from_vector(n, v).weight(), v)
@@ -249,31 +254,25 @@ class CodeStructure:
                 pairs.append((PauliOp.from_vector(n, a), PauliOp.from_vector(n, b)))
             return tuple(pairs)
 
-        self.logicals = LogicalBasis(
+        return LogicalBasis(
             n=n,
             pairs=build_pairs(used_ext),
             gauge_pairs=build_pairs(gauge_ext),
         )
-        self.stab_omega = tuple(omega(r, n) for r in self.S.rows)
+
+    @cached_property
+    def class_omega(self) -> Tuple[int, ...]:
         class_rows = []
         for xbar, zbar in self.logicals.pairs:
-            class_rows.append(omega(zbar.vector, n))
-            class_rows.append(omega(xbar.vector, n))
-        self.class_omega = tuple(class_rows)
-        gauge_rows = []
-        for xbar, zbar in self.logicals.gauge_pairs:
-            gauge_rows.append(omega(zbar.vector, n))
-            gauge_rows.append(omega(xbar.vector, n))
-        self.gauge_class_omega = tuple(gauge_rows)
+            class_rows.append(omega(zbar.vector, self.n))
+            class_rows.append(omega(xbar.vector, self.n))
+        return tuple(class_rows)
 
     # -- linear maps ---------------------------------------------------------
 
     def syndrome_vec(self, v: int) -> int:
         """Anticommutation bits against the declared generator list."""
-        out = 0
-        for i, row in enumerate(self.gen_omega):
-            out |= gf2.parity(v & row) << i
-        return out
+        return gf2.pairings(v, self.gen_omega)
 
     def syndrome(self, op: PauliOp) -> int:
         return self.syndrome_vec(op.vector)
@@ -290,27 +289,15 @@ class CodeStructure:
         return self.energy_vec(op.vector)
 
     def stab_syndrome_vec(self, v: int) -> int:
-        out = 0
-        for i, row in enumerate(self.stab_omega):
-            out |= gf2.parity(v & row) << i
-        return out
+        return gf2.pairings(v, self.stab_omega)
 
     def class_bits_vec(self, v: int) -> int:
         """Pairing with the used logical pairs: bit 2j is the X-bar_j
         component (pairing with Z-bar_j), bit 2j+1 the Z-bar_j component."""
-        out = 0
-        for i, row in enumerate(self.class_omega):
-            out |= gf2.parity(v & row) << i
-        return out
+        return gf2.pairings(v, self.class_omega)
 
     def class_bits(self, op: PauliOp) -> int:
         return self.class_bits_vec(op.vector)
-
-    def gauge_class_bits_vec(self, v: int) -> int:
-        out = 0
-        for i, row in enumerate(self.gauge_class_omega):
-            out |= gf2.parity(v & row) << i
-        return out
 
     # -- membership / targets -------------------------------------------------
 

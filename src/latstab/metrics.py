@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from .codes import STABILIZER, CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import CapacityError, ContractViolation, DimensionError, ValidationError
-from .gf2 import nullspace, parity
+from .gf2 import nullspace, pairings, parity
 from .groups import CodeStructure, get_structure
 from .pauli import PauliOp
 
@@ -131,7 +131,7 @@ def distance_bruteforce(
     for q in range(n):
         for li, letter in enumerate(_LETTERS):
             v = PauliOp.single(n, q, letter).vector
-            det[q][li] = sum(parity(v & row) << i for i, row in enumerate(det_rows))
+            det[q][li] = pairings(v, det_rows)
             cls[q][li] = st.class_bits_vec(v)
     examined = 0
     for w in range(1, cap + 1):
@@ -214,7 +214,6 @@ def distance_dp(
     order = sorted(range(n), key=lambda q: (code.anchor(q)[axis], code.anchor(q), q))
     pos_of = {q: p for p, q in enumerate(order)}
     det_rows = [r for r in _detector_rows(st, mode) if r]
-    cls_rows = list(st.class_omega)
     mask_n = (1 << n) - 1
 
     first, last = [], []
@@ -224,7 +223,7 @@ def distance_dp(
         first.append(min(ps))
         last.append(max(ps))
     bit_of, det_width = _color_intervals(first, last)
-    nbits = det_width + len(cls_rows)
+    nbits = det_width + len(st.class_omega)
     if nbits > 62:
         raise CapacityError(
             f"transfer DP front needs {nbits} state bits (cut too wide)",
@@ -242,9 +241,7 @@ def distance_dp(
             c = 0
             for i in row_ids:
                 c |= parity(v & det_rows[i]) << bit_of[i]
-            for j, row in enumerate(cls_rows):
-                c |= parity(v & row) << (det_width + j)
-            per_letter.append(c)
+            per_letter.append(c | st.class_bits_vec(v) << det_width)
         contribs.append(per_letter)
         close = 0
         for i in range(len(det_rows)):
@@ -317,6 +314,28 @@ def distance_dp(
     assert st.is_logical(witness, "subsystem" if mode == "stabilizer" else mode, class_mask)
     return DistanceResult(best_w, "exact", mode, "dp", witness=witness,
                           stats={"front_peak": peak})
+
+
+def distance(
+    code: CodeSpec,
+    mode: str = "subsystem",
+    axis: int = 0,
+    method: str = "auto",
+    weight_cap: Optional[int] = None,
+    budgets: Budgets = DEFAULT_BUDGETS,
+) -> DistanceResult:
+    """Exact distance by the transfer DP ("dp"), weight-ordered enumeration
+    ("bruteforce"), or the DP with enumeration as fallback when the DP front
+    exceeds its capacity ("auto"); every other error propagates."""
+    if method not in ("auto", "dp", "bruteforce"):
+        raise ValidationError(f"unknown distance method {method!r}")
+    if method != "bruteforce":
+        try:
+            return distance_dp(code, axis=axis, mode=mode, budgets=budgets)
+        except CapacityError:
+            if method == "dp":
+                raise
+    return distance_bruteforce(code, mode, weight_cap=weight_cap, budgets=budgets)
 
 
 # ---------------------------------------------------------------------------

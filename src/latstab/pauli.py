@@ -142,18 +142,7 @@ class PauliOp:
         return f"PauliOp(n={self.n}, {body})"
 
 
-def symplectic_product(u: PauliOp, v: PauliOp) -> int:
-    """0 when the operators commute, 1 when they anticommute."""
-    if u.n != v.n:
-        raise DimensionError(f"qubit counts differ: {u.n} vs {v.n}")
-    return parity((u.x & v.z) ^ (u.z & v.x))
-
-
 def omega(vec: int, n: int) -> int:
     """Swap the X/Z halves so that parity(omega(v) & w) is the symplectic form."""
     mask = (1 << n) - 1
     return (vec >> n) | ((vec & mask) << n)
-
-
-def pair_with(vec: int, omega_row: int) -> int:
-    return parity(vec & omega_row)

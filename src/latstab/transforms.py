@@ -24,13 +24,7 @@ from .errors import (
 from .geometry import Region, axis_window_region, boundary_shell, strip_partition
 from .gf2 import solve
 from .groups import _coset_reduce, contained_subgroup, get_structure
-from .metrics import (
-    DistanceResult,
-    _window_logical_vectors,
-    distance_bruteforce,
-    distance_dp,
-    linear_distance,
-)
+from .metrics import _window_logical_vectors, distance, linear_distance
 from .pauli import PauliOp
 
 
@@ -261,15 +255,12 @@ def compress_qubits(code: CodeSpec, qubit_mask: int, name: str) -> CodeSpec:
     )
 
 
-def _exact_distance(code: CodeSpec, budgets: Budgets, axis: int = 0) -> DistanceResult:
-    """Subsystem distance with the DP as primary and enumeration fallback."""
-    try:
-        return distance_dp(code, axis=axis, mode="subsystem", budgets=budgets)
-    except CapacityError:
-        res = distance_bruteforce(code, "subsystem", weight_cap=code.n, budgets=budgets)
-        if res.status != "exact" and res.status != "no_logicals":
-            raise CapacityError(f"exact distance infeasible for {code.name}")
-        return res
+def _subsystem_distance(code: CodeSpec, budgets: Budgets, axis: int = 0) -> Optional[int]:
+    """Exact subsystem distance (enumeration uncapped by weight), or CapacityError."""
+    res = distance(code, "subsystem", axis=axis, weight_cap=code.n, budgets=budgets)
+    if res.status != "exact" and res.status != "no_logicals":
+        raise CapacityError(f"exact distance infeasible for {code.name}")
+    return res.value
 
 
 def restriction_audit(
@@ -292,9 +283,8 @@ def restriction_audit(
             "no_logicals", 0, None, original_distance, shell_qubits, True, region.size
         )
     if original_distance is None:
-        dres = _exact_distance(code, budgets)
-        original_distance = dres.value
-    d_M = _exact_distance(sub, budgets).value
+        original_distance = _subsystem_distance(code, budgets)
+    d_M = _subsystem_distance(sub, budgets)
     holds = d_M >= original_distance - shell_qubits
     return RestrictionAuditResult(
         "distance_bound", sub_st.k, d_M, original_distance, shell_qubits, holds, region.size
@@ -339,9 +329,9 @@ def minimal_block_search(
             sub = compress_qubits(code, mask, f"{code.name}|block")
             if get_structure(sub).k == 0:
                 continue
-            d_M = _exact_distance(sub, budgets, axis=axis).value
+            d_M = _subsystem_distance(sub, budgets, axis=axis)
             shell_qubits = code.qubit_mask_in(boundary_shell(region, code.declared_r)).bit_count()
-            d = _exact_distance(code, budgets, axis=axis).value
+            d = _subsystem_distance(code, budgets, axis=axis)
             r = code.declared_r
             checks = {
                 "d_M <= r*L^(D-1)": d_M <= r * cross,

@@ -268,9 +268,9 @@ def test_criterion_7c_group_identities_all_zoo():
     for code in codes:
         st = get_structure(code)
         # C(S) = G . C(G) as a rank identity
-        assert st.CS.rank == rank(list(st.G.rows) + list(st.CG.rows)), code.name
+        assert centralizer(st.S).rank == rank(list(st.G.rows) + list(st.CG.rows)), code.name
         # dimension identity and double centralizer
-        assert st.CS.rank == 2 * code.n - st.S.rank
+        assert centralizer(st.S).rank == 2 * code.n - st.S.rank
         cc = centralizer(centralizer(st.G))
         assert cc.rank == st.G.rank
         assert all(cc.contains_vec(r) for r in st.G.rows)

@@ -4,7 +4,7 @@ import pytest
 
 from latstab.cli import main
 
-from latstab import make_bacon_shor_2d, serialize_code
+from latstab import make_bacon_shor_2d, make_toric_2d, serialize_code
 
 
 @pytest.fixture
@@ -90,6 +90,25 @@ def test_validate_nonlocal_code_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "generator 0" in err
+
+
+@pytest.mark.parametrize("data", [
+    b"lattice D=1 L=3 boundary=open\nname=x\nrole=stabilizer\nr=abc\n",
+    "lattice D=1 L=3 boundary=open\nname=\xe9\n".encode("latin-1"),
+], ids=["bad_integer", "non_utf8"])
+def test_malformed_code_file_exit_1(tmp_path, capsys, data):
+    bad = tmp_path / "bad.code"
+    bad.write_bytes(data)
+    assert main(["validate", "--code", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_distance_auto_reports_bad_axis(tmp_path, capsys):
+    path = tmp_path / "toric3.code"
+    path.write_text(serialize_code(make_toric_2d(3)))
+    rc = main(["distance", "--code", str(path), "--axis", "7", "--method", "auto"])
+    assert rc == 1
+    assert "axis 7 outside 0..1" in capsys.readouterr().err
 
 
 def test_audit_repetition_deterministic(tmp_path, capsys):

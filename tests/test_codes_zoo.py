@@ -206,6 +206,28 @@ def test_parse_reports_line_numbers():
     assert "line 6" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad_line", ["r=abc", "scale=x"])
+def test_parse_rejects_bad_integer_with_line_number(bad_line):
+    text = (
+        "lattice D=1 L=3 boundary=open\n"
+        "name=x\nrole=stabilizer\n"
+        f"{bad_line}\n"
+        "Z(0) Z(1)\n"
+    )
+    with pytest.raises(CodeFormatError) as exc:
+        parse_code(text)
+    assert exc.value.line == 4
+
+
+def test_load_code_rejects_non_utf8(tmp_path):
+    from latstab.cli import _load_code
+
+    path = tmp_path / "latin1.code"
+    path.write_bytes("lattice D=1 L=3 boundary=open\nname=\xe9\n".encode("latin-1"))
+    with pytest.raises(CodeFormatError):
+        _load_code(str(path))
+
+
 def test_nonlocal_generator_rejected():
     n = 8
     gens = [PauliOp.from_letters(n, [(0, "X"), (n - 1, "X")])]

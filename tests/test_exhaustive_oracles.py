@@ -86,7 +86,7 @@ def test_logical_counts_on_random_gauge_groups():
         st = get_structure(code)
         assert st.s + st.g + st.k == n
         assert st.G.rank == st.s + 2 * st.g
-        assert st.CS.rank == 2 * n - st.s
+        assert centralizer(st.S).rank == 2 * n - st.s
 
 
 def test_linear_distance_matches_extent_enumeration():

@@ -1,6 +1,7 @@
 import random
 
 from latstab import gf2
+from latstab.pauli import PauliOp, omega
 
 
 def test_rref_small():
@@ -75,3 +76,16 @@ def test_intersect_spans():
 def test_extend_basis_greedy():
     added = gf2.extend_basis([0b01], [0b01, 0b11, 0b10])
     assert added == [0b11]
+
+
+def test_pairings_match_commutation_oracle():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        ops = [PauliOp(n, rng.getrandbits(n), rng.getrandbits(n))
+               for _ in range(rng.randint(0, 8))]
+        p = PauliOp(n, rng.getrandbits(n), rng.getrandbits(n))
+        bits = gf2.pairings(p.vector, [omega(q.vector, n) for q in ops])
+        assert bits >> len(ops) == 0
+        for i, q in enumerate(ops):
+            assert (bits >> i) & 1 == (not p.commutes(q))

@@ -56,7 +56,7 @@ def test_centralizer_dimension_identity():
 def test_toric_centralizer_dimension():
     code = make_toric_2d(2)
     st = get_structure(code)
-    assert st.CS.rank == code.n + st.k  # 10 for [[8, 2]]
+    assert centralizer(st.S).rank == code.n + st.k  # 10 for [[8, 2]]
 
 
 def test_double_centralizer():
@@ -191,7 +191,7 @@ def test_centralizer_factorization_rank_equation():
     ]
     for code in codes:
         st = get_structure(code)
-        assert st.CS.rank == rank(list(st.G.rows) + list(st.CG.rows))
+        assert centralizer(st.S).rank == rank(list(st.G.rows) + list(st.CG.rows))
 
 
 def test_syndrome_and_class_maps():
