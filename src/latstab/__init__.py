@@ -5,6 +5,7 @@ lemma-level transforms."""
 from .barrier import barrier_exact
 from .codes import CodeSpec, parse_code, serialize_code
 from .config import Budgets
+from .errors import CertificateError
 from .geometry import Lattice, Region, boundary_shell, strip_partition
 from .groups import (
     GroupBasis,
@@ -57,6 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Budgets",
     "BarrierResult",
+    "CertificateError",
     "CleanResult",
     "CodeSpec",
     "DistanceResult",

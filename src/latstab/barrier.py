@@ -6,12 +6,14 @@ the gauge-qubit mode when every Hamiltonian term commutes with Q), so the walk
 search runs on cosets instead of all 4^n operators.  A coset is labeled by its
 pairings with a fixed basis of C(Q) — stabilizer-basis bits first (the
 independent syndrome), then gauge-pair class bits, then used-pair class bits —
-so node count is 2^(2n - rank Q), e.g. 2^(n+k) for subspace codes.  Edges are
-the 3n single-qubit multiplications, acting on labels by XOR; node energy is
-reconstructed linearly from the label.  The search itself is a bucketed
-bottleneck Dijkstra over the small even energy levels, vectorized over numpy
-index arrays; the witness walk is rebuilt from parent edges and re-verified
-against the unquotiented energy map.
+so the graph has 2^(2n - rank Q) nodes, e.g. 2^(n+k) for subspace codes.  Edges
+are the 3n single-qubit multiplications, acting on labels by XOR; node energy
+is reconstructed linearly from the label.  The search is a bucketed bottleneck
+Dijkstra over the small even energy levels that only ever holds the labels it
+has generated: each wave of a level is expanded as one numpy array, and the
+energy of a label is computed when the label is first generated.  The witness
+walk is rebuilt from parent edges and re-verified against the unquotiented
+energy map; a failed re-verification raises CertificateError.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, CertificateError, ValidationError
 from .gf2 import pairings, parity, solve
 from .groups import get_structure
 from .metrics import BarrierResult, WalkTrace
@@ -116,7 +118,11 @@ def barrier_exact(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> BarrierResult:
     """Exact minimax energy over single-qubit walks from identity to any
-    logical target, with the achieving walk as witness."""
+    logical target, with the achieving walk as witness.
+
+    ``stats`` counts the distinct labels the search generated (``nodes``) and
+    the labels it expanded (``expanded``).
+    """
     st = get_structure(code)
     if st.k == 0 or (gauge_pair_indices is not None and len(set(gauge_pair_indices)) >= st.k):
         return BarrierResult(None, "no_logicals", "exact_bottleneck")
@@ -128,16 +134,10 @@ def barrier_exact(
             f"use barrier_walk_bound for an upper bound",
             required=1 << nbits, cap=budgets.node_cap,
         )
+    if nbits > 64:
+        raise CapacityError(f"coset labels need {nbits} bits; the search holds 64",
+                            required=1 << nbits, cap=1 << 64)
     n = st.n
-    N = 1 << nbits
-    idx_dtype = np.uint32 if nbits <= 31 else np.uint64
-    idx = np.arange(N, dtype=idx_dtype)
-
-    energy = np.zeros(N, dtype=np.uint16)
-    for mask in quo.gen_masks:
-        energy += (np.bitwise_count(idx & idx_dtype(mask)) & 1).astype(np.uint16)
-    energy *= 2
-
     deltas = []
     edge_ops = []
     for q in range(n):
@@ -145,46 +145,54 @@ def barrier_exact(
             v = PauliOp.single(n, q, letter).vector
             deltas.append(quo.label_of_vec(v))
             edge_ops.append((q, letter))
+    delta_arr = np.array(deltas, dtype=np.uint64)
+    gen_masks = [np.uint64(mask) for mask in quo.gen_masks]
 
-    target_sel = quo.lift_class_mask(class_mask)
-    targets = ((idx & idx_dtype(quo.synd_mask)) == 0) & ((idx & idx_dtype(target_sel)) != 0)
-    if not targets.any():
-        return BarrierResult(None, "no_logicals", "exact_bottleneck")
+    def energy(labels):
+        e = np.zeros(labels.size, dtype=np.uint16)
+        for mask in gen_masks:
+            e += np.bitwise_count(labels & mask) & 1
+        return 2 * e
 
-    INF = np.uint16(0xFFFF)
-    bval = np.full(N, INF, dtype=np.uint16)
-    bval[0] = energy[0]
-    expanded = np.zeros(N, dtype=bool)
-    parent_edge = np.full(N, -1, dtype=np.int16)
-
-    levels = np.unique(energy)
-    expanded_total = 0
-    for level in levels:
-        B = np.uint16(level)
-        while True:
-            frontier = np.flatnonzero((bval == B) & ~expanded)
-            if frontier.size == 0:
-                break
-            expanded[frontier] = True
-            expanded_total += int(frontier.size)
-            for ei, d in enumerate(deltas):
-                nbrs = frontier ^ idx_dtype(d)
-                newb = np.maximum(B, energy[nbrs])
-                better = newb < bval[nbrs]
-                if better.any():
-                    upd = nbrs[better]
-                    bval[upd] = newb[better]
-                    parent_edge[upd] = ei
-        hits = np.flatnonzero(targets & (bval <= B))
+    synd_mask = np.uint64(quo.synd_mask)
+    target_sel = np.uint64(quo.lift_class_mask(class_mask))
+    # A label's bval is fixed when it is first touched: later levels only
+    # raise the bound, so the first touch is never improved on.  It is kept
+    # implicitly as the bucket the label sits in; the map keeps the edge
+    # that first touched it (the lowest edge index within that wave).
+    parent = {0: -1}
+    buckets = {0: [np.zeros(1, dtype=np.uint64)]}
+    expanded = 0
+    while buckets:
+        level = min(buckets)
+        wave = np.sort(np.concatenate(buckets.pop(level)))
+        reached = [wave]
+        while wave.size:
+            expanded += wave.size
+            # edge-major: candidate i came from edge i // wave.size
+            labels, first = np.unique((delta_arr[:, None] ^ wave).ravel(), return_index=True)
+            fresh = ~np.fromiter(map(parent.__contains__, labels.tolist()), bool, labels.size)
+            labels = labels[fresh]
+            parent.update(zip(labels.tolist(), (first[fresh] // wave.size).tolist()))
+            e = energy(labels)
+            above = e > level
+            for lv in np.unique(e[above]).tolist():
+                buckets.setdefault(lv, []).append(labels[e == lv])
+            wave = labels[~above]
+            reached.append(wave)
+        # no target was reached below this level, else the search had stopped
+        at_level = np.concatenate(reached)
+        hits = at_level[((at_level & synd_mask) == 0) & ((at_level & target_sel) != 0)]
         if hits.size:
-            best = int(hits[int(np.argmin(bval[hits]))])
-            value = int(bval[best])
+            value = level
             # every walk's first state is a single-qubit operator
-            assert value % 2 == 0
-            assert value >= min(int(energy[d]) for d in deltas)
-            steps = _reconstruct(best, parent_edge, deltas, edge_ops, N)
+            _certify(value % 2 == 0, f"barrier {value} is odd")
+            _certify(value >= int(energy(delta_arr).min()),
+                     f"barrier {value} is below every single-qubit energy")
+            steps = _reconstruct(int(hits.min()), parent, deltas, edge_ops)
             trace = WalkTrace.build(st, steps)
-            assert trace.eps_max == value
+            _certify(trace.eps_max == value,
+                     f"witness walk peaks at {trace.eps_max}, not {value}")
             if mode == "gauge_qubits":
                 check_mask = 0
                 for j in quo.keep:
@@ -193,26 +201,32 @@ def barrier_exact(
                     check_mask &= class_mask
             else:
                 check_mask = class_mask
-            assert st.is_logical(trace.final, "subsystem", check_mask)
+            _certify(st.is_logical(trace.final, "subsystem", check_mask),
+                     "witness walk does not end on a target logical")
             return BarrierResult(
                 value, "exact", "exact_bottleneck", witness=trace,
-                stats={"nodes": N, "expanded": expanded_total,
-                       "levels": [int(x) for x in levels.tolist()]},
+                stats={"nodes": len(parent), "expanded": expanded},
             )
-    raise AssertionError("single-qubit walks connect the Pauli group; unreachable")
+    raise CertificateError("search ran out of nodes without reaching a target; "
+                           "single-qubit walks connect the Pauli group")
 
 
-def _reconstruct(node: int, parent_edge, deltas, edge_ops, N) -> List[Tuple[int, str]]:
+def _certify(ok: bool, what: str) -> None:
+    if not ok:
+        raise CertificateError(f"barrier certificate failed: {what}")
+
+
+def _reconstruct(node: int, parent, deltas, edge_ops) -> List[Tuple[int, str]]:
     rev = []
     cur = node
-    for _ in range(N + 1):
+    for _ in range(len(parent) + 1):
         if cur == 0:
             break
-        ei = int(parent_edge[cur])
-        assert ei >= 0, "node has no parent"
+        ei = parent.get(cur, -1)
+        _certify(ei >= 0, f"label {cur} has no parent")
         rev.append(edge_ops[ei])
         cur ^= deltas[ei]
     else:
-        raise AssertionError("parent chain does not terminate")
+        _certify(False, "parent chain does not terminate")
     rev.reverse()
     return rev

@@ -53,5 +53,9 @@ class CapacityError(LatstabError):
         self.cap = cap
 
 
+class CertificateError(LatstabError):
+    """A computed witness failed its own re-verification."""
+
+
 class NoLogicalQubitsError(LatstabError):
     """The operation needs at least one logical qubit and the code has none."""

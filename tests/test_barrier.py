@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import latstab
 from latstab import (
     Budgets,
+    CertificateError,
+    CodeSpec,
+    Lattice,
     PauliOp,
     barrier_exact,
     barrier_walk_bound,
@@ -14,6 +22,7 @@ from latstab import (
     make_surface_2d,
     make_toric_2d,
 )
+from latstab import barrier
 from latstab.errors import CapacityError
 
 from conftest import walk_barrier_oracle
@@ -137,3 +146,104 @@ def test_bacon_shor_subsystem_barrier_endpoint_cost():
     wb = barrier_walk_bound(code, get_structure(code).logicals.pairs[0][0],
                             "row_by_row", axis=0)
     assert res.value <= wb.value <= 4
+
+
+def _four_two_two():
+    """[[4,2,2]]: the smallest code here with two logical pairs to gauge."""
+    return CodeSpec("four_two_two", Lattice(1, 4), "stabilizer", 4, [
+        PauliOp.from_letters(4, [(q, "X") for q in range(4)]),
+        PauliOp.from_letters(4, [(q, "Z") for q in range(4)]),
+    ])
+
+
+def _small_codes():
+    return [
+        make_repetition_1d(3),
+        make_repetition_1d(4, "periodic"),
+        make_surface_2d(2),
+        make_bacon_shor_2d(2),
+        make_heisenberg_gauge(1, 3),
+        make_steane_chain(1),
+        _four_two_two(),
+    ]
+
+
+def test_class_mask_matches_unquotiented_oracle():
+    for code in _small_codes():
+        st = get_structure(code)
+        for mask in range(1, 1 << (2 * st.k)):
+            got = barrier_exact(code, class_mask=mask).value
+            want = walk_barrier_oracle(
+                code, lambda op: st.is_logical(op, "subsystem", class_mask=mask)
+            )
+            assert got == want, (code.name, mask)
+
+
+def test_gauge_qubit_mode_matches_unquotiented_oracle():
+    for code in _small_codes():
+        st = get_structure(code)
+        for j in range(st.k):
+            kept = sum(0b11 << (2 * i) for i in range(st.k) if i != j)
+            # one class mask per kept class bit, plus all of them
+            for class_mask in [None] + [1 << b for b in range(2 * st.k) if kept >> b & 1]:
+                check = kept if class_mask is None else kept & class_mask
+                got = barrier_exact(code, mode="gauge_qubits", gauge_pair_indices=[j],
+                                    class_mask=class_mask).value
+                want = walk_barrier_oracle(
+                    code, lambda op: st.is_logical(op, "subsystem", class_mask=check)
+                )
+                assert got == want, (code.name, j, class_mask)
+
+
+@pytest.mark.parametrize("code, value, steps", [
+    (make_toric_2d(3), 4, [(5, "X"), (4, "X"), (3, "X")]),
+    (make_surface_2d(2), 2, [(1, "X"), (0, "X")]),
+    (make_steane_chain(1), 2, [(1, "X"), (2, "X"), (0, "X")]),
+    (make_heisenberg_gauge(1, 3), 4, [(2, "X"), (1, "X"), (0, "X")]),
+], ids=["toric3", "surface2", "steane_chain1", "heisenberg1_3"])
+def test_witness_steps_pinned(code, value, steps):
+    # pins the search order: ascending levels, waves within a level, the
+    # lowest edge index on first touch, the least target label per level
+    res = barrier_exact(code)
+    assert res.value == value
+    assert list(res.witness.steps) == steps
+
+
+def test_search_visits_only_reached_cosets():
+    code = make_toric_2d(4)  # 2^34 cosets, past the default node cap
+    res = barrier_exact(code, budgets=Budgets(node_cap=2**34))
+    assert res.value == 4
+    assert res.stats["nodes"] < 2**20
+    res.witness.validate(get_structure(code))
+
+
+def test_failed_certificate_raises(monkeypatch):
+    monkeypatch.setattr(barrier, "_reconstruct", lambda *args: [])
+    with pytest.raises(CertificateError, match="peaks at 0, not 2"):
+        barrier_exact(make_repetition_1d(3), class_mask=0b01)
+
+
+def test_failed_certificate_raises_under_optimize():
+    script = (
+        "import latstab.barrier as b\n"
+        "from latstab import CertificateError, make_repetition_1d\n"
+        "b._reconstruct = lambda *args: []\n"
+        "try:\n"
+        "    b.barrier_exact(make_repetition_1d(3), class_mask=0b01)\n"
+        "except CertificateError:\n"
+        "    print('CertificateError', __debug__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(latstab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["CertificateError", "False"]
+
+
+def test_reconstruct_rejects_broken_parent_chain():
+    with pytest.raises(CertificateError, match="no parent"):
+        barrier._reconstruct(5, {0: -1}, [1], [(0, "X")])
+    with pytest.raises(CertificateError, match="does not terminate"):
+        barrier._reconstruct(1, {0: -1, 1: 0}, [0], [(0, "X")])

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import latstab
 
 from latstab.cli import main
 
@@ -164,3 +169,34 @@ def test_audit_exit_2_on_failed_check(tmp_path, monkeypatch, capsys):
 def test_zoo_rejects_bad_family(capsys):
     with pytest.raises(SystemExit):
         main(["zoo", "nosuch", "--L", "3"])
+
+
+def test_bad_budget_env_does_not_break_import_or_version():
+    src = os.path.dirname(os.path.dirname(latstab.__file__))
+    env = dict(os.environ, LATSTAB_NODE_CAP="xyz", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "latstab.cli", "--version"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"latstab {latstab.__version__}"
+
+
+@pytest.mark.parametrize("name, raw", [
+    ("LATSTAB_NODE_CAP", "xyz"),
+    ("LATSTAB_NODE_CAP", "0"),
+    ("LATSTAB_WEIGHT_CAP", "-3"),
+    ("LATSTAB_MEM_MB", "1.5"),
+])
+def test_bad_budget_env_exit_1(bs3_file, monkeypatch, capsys, name, raw):
+    monkeypatch.setenv(name, raw)
+    assert main(["barrier", "--code", bs3_file]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name}={raw!r} is not a positive integer")
+
+
+def test_budget_env_overrides_cli_default(bs3_file, monkeypatch, capsys):
+    from latstab.config import Budgets
+
+    monkeypatch.setenv("LATSTAB_NODE_CAP", "1024")
+    assert Budgets.from_env().node_cap == 1024
+    assert main(["barrier", "--code", bs3_file]) == 1
+    assert "node cap 1024" in capsys.readouterr().err
