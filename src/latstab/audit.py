@@ -201,15 +201,16 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
     return rec
 
 
-def _build_code(family: str, L: int, D: Optional[int], boundary: Optional[str]) -> CodeSpec:
+def family_kwargs(D: Optional[int], boundary: Optional[str]) -> Dict:
+    """The optional family-builder arguments that were given."""
+    return {key: v for key, v in (("D", D), ("boundary", boundary)) if v is not None}
+
+
+def build_family_code(family: str, L: int, D: Optional[int] = None,
+                      boundary: Optional[str] = None) -> CodeSpec:
     if family not in FAMILIES:
         raise LatstabError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    kwargs = {}
-    if D is not None:
-        kwargs["D"] = D
-    if boundary is not None:
-        kwargs["boundary"] = boundary
-    return FAMILIES[family](L, **kwargs)
+    return FAMILIES[family](L, **family_kwargs(D, boundary))
 
 
 def audit_family(
@@ -248,18 +249,13 @@ def audit_family(
 
 def _audit_task(task) -> InstanceRecord:
     family, L, D, boundary, budgets = task
-    code = _build_code(family, L, D, boundary)
-    params = {"L": L}
-    if D is not None:
-        params["D"] = D
-    if boundary is not None:
-        params["boundary"] = boundary
-    return audit_instance(family, code, params, budgets)
+    code = build_family_code(family, L, D, boundary)
+    return audit_instance(family, code, {"L": L, **family_kwargs(D, boundary)}, budgets)
+
+
+def check_to_jsonable(c: Check) -> Dict:
+    return {**asdict(c), "margin": c.margin}
 
 
 def record_to_jsonable(rec: InstanceRecord) -> Dict:
-    out = asdict(rec)
-    out["checks"] = [
-        {**asdict(c), "margin": c.margin} for c in rec.checks
-    ]
-    return out
+    return {**asdict(rec), "checks": [check_to_jsonable(c) for c in rec.checks]}

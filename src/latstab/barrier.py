@@ -24,7 +24,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import CapacityError, CertificateError, ValidationError
+from .errors import CapacityError, CertificateError, ValidationError, certify
 from .gf2 import pairings, parity, solve
 from .groups import get_structure
 from .metrics import BarrierResult, WalkTrace
@@ -124,6 +124,8 @@ def barrier_exact(
     the labels it expanded (``expanded``).
     """
     st = get_structure(code)
+    if mode != "gauge_qubits":
+        st.check_mode(mode)
     if st.k == 0 or (gauge_pair_indices is not None and len(set(gauge_pair_indices)) >= st.k):
         return BarrierResult(None, "no_logicals", "exact_bottleneck")
     quo = _Quotient(code, mode, gauge_pair_indices)
@@ -186,13 +188,13 @@ def barrier_exact(
         if hits.size:
             value = level
             # every walk's first state is a single-qubit operator
-            _certify(value % 2 == 0, f"barrier {value} is odd")
-            _certify(value >= int(energy(delta_arr).min()),
-                     f"barrier {value} is below every single-qubit energy")
+            certify(value % 2 == 0, f"barrier {value} is odd")
+            certify(value >= int(energy(delta_arr).min()),
+                    f"barrier {value} is below every single-qubit energy")
             steps = _reconstruct(int(hits.min()), parent, deltas, edge_ops)
             trace = WalkTrace.build(st, steps)
-            _certify(trace.eps_max == value,
-                     f"witness walk peaks at {trace.eps_max}, not {value}")
+            certify(trace.eps_max == value,
+                    f"witness walk peaks at {trace.eps_max}, not {value}")
             if mode == "gauge_qubits":
                 check_mask = 0
                 for j in quo.keep:
@@ -201,19 +203,14 @@ def barrier_exact(
                     check_mask &= class_mask
             else:
                 check_mask = class_mask
-            _certify(st.is_logical(trace.final, "subsystem", check_mask),
-                     "witness walk does not end on a target logical")
+            certify(st.is_logical(trace.final, "subsystem", check_mask),
+                    "witness walk does not end on a target logical")
             return BarrierResult(
                 value, "exact", "exact_bottleneck", witness=trace,
                 stats={"nodes": len(parent), "expanded": expanded},
             )
     raise CertificateError("search ran out of nodes without reaching a target; "
                            "single-qubit walks connect the Pauli group")
-
-
-def _certify(ok: bool, what: str) -> None:
-    if not ok:
-        raise CertificateError(f"barrier certificate failed: {what}")
 
 
 def _reconstruct(node: int, parent, deltas, edge_ops) -> List[Tuple[int, str]]:
@@ -223,10 +220,10 @@ def _reconstruct(node: int, parent, deltas, edge_ops) -> List[Tuple[int, str]]:
         if cur == 0:
             break
         ei = parent.get(cur, -1)
-        _certify(ei >= 0, f"label {cur} has no parent")
+        certify(ei >= 0, f"label {cur} has no parent")
         rev.append(edge_ops[ei])
         cur ^= deltas[ei]
     else:
-        _certify(False, "parent chain does not terminate")
+        certify(False, "parent chain does not terminate")
     rev.reverse()
     return rev

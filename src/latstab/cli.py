@@ -15,17 +15,24 @@ import io
 import json
 import re
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import __version__
-from .audit import audit_family, record_to_jsonable
+from .audit import (
+    audit_family,
+    build_family_code,
+    check_to_jsonable,
+    family_kwargs,
+    record_to_jsonable,
+)
 from .barrier import barrier_exact
 from .codes import CodeSpec, parse_code, serialize_code
 from .config import Budgets
 from .errors import CodeFormatError, LatstabError
 from .geometry import Region
 from .groups import get_structure
-from .metrics import barrier_walk_bound, distance, linear_distance
+from .metrics import WalkTrace, barrier_walk_bound, distance, linear_distance
+from .pauli import PauliOp
 from .transforms import (
     clean_stabilizer,
     clean_subsystem,
@@ -40,23 +47,23 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _report(command: str, input_desc: Dict, payload: Dict) -> Dict:
-    return {
-        "schema_version": 1,
-        "tool": {"name": "latstab", "version": __version__},
-        "command": command,
-        "input": input_desc,
-        **payload,
-    }
-
-
-def _emit(report: Dict, out: Optional[str]):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_report(args, input_desc: Dict, payload: Dict) -> None:
+    report = {
+        "schema_version": 1,
+        "tool": {"name": "latstab", "version": __version__},
+        "command": args.command,
+        "input": input_desc,
+        **payload,
+    }
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _load_code(path: str) -> tuple[CodeSpec, str]:
@@ -67,6 +74,40 @@ def _load_code(path: str) -> tuple[CodeSpec, str]:
     except UnicodeDecodeError as e:
         raise CodeFormatError(f"code file is not UTF-8: {e}")
     return parse_code(text), _digest(data)
+
+
+def _jsonable(value, code: CodeSpec):
+    """Report form of a result value: operators as code text, walks as
+    steps/profile/eps_max, tuples as lists."""
+    if isinstance(value, PauliOp):
+        return code.format_op(value)
+    if isinstance(value, WalkTrace):
+        return _fields(value, code, "steps profile eps_max")
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v, code) for v in value]
+    return value
+
+
+def _fields(result, code: CodeSpec, names: str, **extra) -> Dict:
+    """The named (space-separated) fields of a result plus extra fields, in
+    report form."""
+    picked = {name: getattr(result, name) for name in names.split()}
+    return {key: _jsonable(v, code) for key, v in {**picked, **extra}.items()}
+
+
+def _code_command(run: Callable) -> Callable:
+    """Handler for a subcommand on --code: `run(args, code)` returns the extra
+    input fields, the result and the exit code; the handler loads the code and
+    emits the report."""
+
+    def handler(args) -> int:
+        code, digest = _load_code(args.code)
+        input_extra, result, exit_code = run(args, code)
+        _emit_report(args, {"code": args.code, "digest": digest, **input_extra},
+                     {"result": result})
+        return exit_code
+
+    return handler
 
 
 def _parse_box(spec: str, lattice) -> Region:
@@ -87,7 +128,10 @@ def _parse_box(spec: str, lattice) -> Region:
 def _parse_sites(spec: str, lattice) -> Region:
     coords = []
     for m in re.finditer(r"\(([-0-9,\s]+)\)", spec):
-        coords.append(tuple(int(t) for t in m.group(1).replace(" ", "").split(",")))
+        try:
+            coords.append(tuple(int(t) for t in m.group(1).replace(" ", "").split(",")))
+        except ValueError:
+            raise LatstabError(f"bad site {m.group(0)!r}; expected (c1,...,cD)") from None
     if not coords:
         raise LatstabError(f"no sites found in {spec!r}")
     return Region.from_sites(lattice, coords)
@@ -101,10 +145,6 @@ def _region_arg(args, code) -> Region:
     raise LatstabError("provide --box or --sites")
 
 
-def _region_jsonable(code: CodeSpec, region: Region) -> List[List[int]]:
-    return [list(c) for c in region.site_coords()]
-
-
 def _budgets(args) -> Budgets:
     base = Budgets.from_env()
     return Budgets(
@@ -115,18 +155,13 @@ def _budgets(args) -> Budgets:
 
 
 def _parse_L(spec: str) -> List[int]:
-    if ".." in spec:
-        a, b = spec.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(t) for t in spec.split(",")]
-
-
-def _walk_jsonable(trace) -> Dict:
-    return {
-        "steps": [[q, letter] for q, letter in trace.steps],
-        "profile": list(trace.profile),
-        "eps_max": trace.eps_max,
-    }
+    try:
+        if ".." in spec:
+            a, b = spec.split("..")
+            return list(range(int(a), int(b) + 1))
+        return [int(t) for t in spec.split(",")]
+    except ValueError:
+        raise LatstabError(f"bad --L {spec!r}; expected '2..4' or '2,3,4'") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,182 +247,79 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_zoo(args) -> int:
-    kwargs = {}
-    if args.D is not None:
-        kwargs["D"] = args.D
-    if args.boundary is not None:
-        kwargs["boundary"] = args.boundary
-    code = FAMILIES[args.family](args.L, **kwargs)
-    text = serialize_code(code)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    code = build_family_code(args.family, args.L, args.D, args.boundary)
+    _write(serialize_code(code), args.out)
     return 0
 
 
-def _cmd_validate(args) -> int:
-    code, digest = _load_code(args.code)
+@_code_command
+def _cmd_validate(args, code):
     r_actual, participation = code.validate_locality()
-    st = get_structure(code)
-    _emit(_report("validate", {"code": args.code, "digest": digest}, {
-        "result": {
-            "name": code.name,
-            "role": code.role,
-            "n": code.n,
-            "generators": len(code.generators),
-            "r_declared": code.declared_r,
-            "r_actual": r_actual,
-            "max_participation": participation,
-            "k": st.k,
-            "g": st.g,
-            "s": st.s,
-        },
-    }), args.out)
-    return 0
+    return {}, _fields(get_structure(code), code, "k g s", name=code.name, role=code.role,
+                       n=code.n, generators=len(code.generators),
+                       r_declared=code.declared_r, r_actual=r_actual,
+                       max_participation=participation), 0
 
 
-def _cmd_distance(args) -> int:
-    code, digest = _load_code(args.code)
-    budgets = _budgets(args)
-    res = distance(code, args.mode, axis=args.axis, method=args.method, budgets=budgets)
-    payload = {
-        "result": {
-            "value": res.value,
-            "status": res.status,
-            "mode": res.mode,
-            "method": res.method,
-            "lower_bound": res.lower_bound,
-            "witness": code.format_op(res.witness) if res.witness else None,
-        }
-    }
-    _emit(_report("distance", {"code": args.code, "digest": digest}, payload), args.out)
-    return 0
+@_code_command
+def _cmd_distance(args, code):
+    res = distance(code, args.mode, axis=args.axis, method=args.method,
+                   budgets=_budgets(args))
+    return {}, _fields(res, code, "value status mode method lower_bound witness"), 0
 
 
-def _cmd_lindist(args) -> int:
-    code, digest = _load_code(args.code)
+@_code_command
+def _cmd_lindist(args, code):
     res = linear_distance(code, axis=args.axis, mode=args.mode)
-    _emit(_report("lindist", {"code": args.code, "digest": digest}, {
-        "result": {
-            "value": res.value,
-            "status": res.status,
-            "axis": res.axis,
-            "witness": code.format_op(res.witness) if res.witness else None,
-        },
-    }), args.out)
-    return 0
+    return {}, _fields(res, code, "value status axis witness"), 0
 
 
-def _cmd_barrier(args) -> int:
-    code, digest = _load_code(args.code)
-    budgets = _budgets(args)
+@_code_command
+def _cmd_barrier(args, code):
     if args.method == "exact":
         res = barrier_exact(code, mode="subsystem", class_mask=args.class_mask,
-                            budgets=budgets)
-        result = {
-            "value": res.value,
-            "status": res.status,
-            "method": res.method,
-            "walk": _walk_jsonable(res.witness) if res.witness else None,
-        }
-    else:
-        sw = strip_sweep(code, axis=args.axis)
-        res = barrier_walk_bound(code, sw.witness, args.schedule, axis=args.axis)
-        result = {
-            "value": res.value,
-            "status": res.status,
-            "method": res.method,
-            "witness": code.format_op(sw.witness),
-            "walk": _walk_jsonable(res.witness),
-        }
-    _emit(_report("barrier", {"code": args.code, "digest": digest},
-                  {"result": result}), args.out)
-    return 0
+                            budgets=_budgets(args))
+        return {}, _fields(res, code, "value status method", walk=res.witness), 0
+    sw = strip_sweep(code, axis=args.axis)
+    res = barrier_walk_bound(code, sw.witness, args.schedule, axis=args.axis)
+    return {}, _fields(res, code, "value status method", witness=sw.witness,
+                       walk=res.witness), 0
 
 
-def _cmd_clean(args) -> int:
-    code, digest = _load_code(args.code)
+@_code_command
+def _cmd_clean(args, code):
     region = _region_arg(args, code)
     op = code.parse_op(args.op)
-    if code.role == "stabilizer":
-        res = clean_stabilizer(code, op, region)
-    else:
-        res = clean_subsystem(code, op, region)
-    result = {"outcome": res.outcome}
-    if res.outcome == "cleaned":
-        result["stabilizer"] = code.format_op(res.stabilizer)
-        result["cleaned"] = code.format_op(res.cleaned)
-        result["generator_indices"] = list(res.generator_indices)
-    else:
-        result["trapped"] = code.format_op(res.trapped)
-    _emit(_report("clean", {
-        "code": args.code, "digest": digest, "op": args.op,
-        "region": _region_jsonable(code, region),
-    }, {"result": result}), args.out)
-    return 0
+    clean = clean_stabilizer if code.role == "stabilizer" else clean_subsystem
+    res = clean(code, op, region)
+    names = ("outcome stabilizer cleaned generator_indices" if res.outcome == "cleaned"
+             else "outcome trapped")
+    return ({"op": args.op, "region": _jsonable(region.site_coords(), code)},
+            _fields(res, code, names), 0)
 
 
-def _cmd_sweep(args) -> int:
-    code, digest = _load_code(args.code)
+@_code_command
+def _cmd_sweep(args, code):
     res = strip_sweep(code, axis=args.axis)
-    _emit(_report("sweep", {"code": args.code, "digest": digest}, {
-        "result": {
-            "witness": code.format_op(res.witness),
-            "extent": res.extent,
-            "axis": res.axis,
-            "method": res.method,
-            "strip_widths": list(res.strip_widths),
-            "class_bits": res.class_bits,
-        },
-    }), args.out)
-    return 0
+    return {}, _fields(res, code, "witness extent axis method strip_widths class_bits"), 0
 
 
-def _cmd_restrict_audit(args) -> int:
-    code, digest = _load_code(args.code)
+@_code_command
+def _cmd_restrict_audit(args, code):
     region = _region_arg(args, code)
-    budgets = _budgets(args)
-    res = restriction_audit(code, region, budgets=budgets)
-    holds = res.holds
-    _emit(_report("restrict-audit", {
-        "code": args.code, "digest": digest,
-        "region": _region_jsonable(code, region),
-    }, {
-        "result": {
-            "case": res.case,
-            "k_M": res.k_M,
-            "d_M": res.d_M,
-            "d": res.d,
-            "shell_qubits": res.shell_qubits,
-            "inequality": "d_M >= d - shell_qubits",
-            "holds": holds,
-        },
-    }), args.out)
-    return 0 if holds else 2
+    res = restriction_audit(code, region, budgets=_budgets(args))
+    return ({"region": _jsonable(region.site_coords(), code)},
+            _fields(res, code, "case k_M d_M d shell_qubits holds",
+                    inequality="d_M >= d - shell_qubits"),
+            0 if res.holds else 2)
 
 
-def _cmd_min_block(args) -> int:
-    code, digest = _load_code(args.code)
-    budgets = _budgets(args)
-    res = minimal_block_search(code, axis=args.axis, budgets=budgets)
-    _emit(_report("min-block", {"code": args.code, "digest": digest}, {
-        "result": {
-            "found": res.found,
-            "start": res.start,
-            "width": res.width,
-            "axis": res.axis,
-            "k_M": res.k_M,
-            "d_M": res.d_M,
-            "d": res.d,
-            "shell_qubits": res.shell_qubits,
-            "checks": res.checks,
-        },
-    }), args.out)
-    if res.found and not all(res.checks.values()):
-        return 2
-    return 0
+@_code_command
+def _cmd_min_block(args, code):
+    res = minimal_block_search(code, axis=args.axis, budgets=_budgets(args))
+    failed = res.found and not all(res.checks.values())
+    return ({}, _fields(res, code, "found start width axis k_M d_M d shell_qubits checks"),
+            2 if failed else 0)
 
 
 def _cmd_audit(args) -> int:
@@ -397,28 +329,20 @@ def _cmd_audit(args) -> int:
         args.family, L_values, D=args.D, boundary=args.boundary,
         budgets=budgets, jobs=args.jobs,
     )
-    params = {"family": args.family, "L": L_values}
-    if args.D is not None:
-        params["D"] = args.D
-    if args.boundary is not None:
-        params["boundary"] = args.boundary
+    params = {"family": args.family, "L": L_values,
+              **family_kwargs(args.D, args.boundary)}
     digest = _digest(json.dumps(params, sort_keys=True).encode())
     all_checks = [c for rec in records for c in rec.checks] + family_checks
     failed = [c for c in all_checks if not c.holds]
-    report = _report("audit", {**params, "digest": digest}, {
+    _emit_report(args, {**params, "digest": digest}, {
         "instances": [record_to_jsonable(rec) for rec in records],
-        "family_checks": [
-            {"name": c.name, "inequality": c.inequality, "lhs": c.lhs,
-             "rhs": c.rhs, "holds": c.holds, "margin": c.margin}
-            for c in family_checks
-        ],
+        "family_checks": [check_to_jsonable(c) for c in family_checks],
         "summary": {
             "checks_total": len(all_checks),
             "checks_failed": len(failed),
             "skipped": sum(len(rec.skipped) for rec in records),
         },
     })
-    _emit(report, args.out)
     if args.csv:
         _write_csv(args.csv, args.family, records)
     return 2 if failed else 0
@@ -469,10 +393,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except LatstabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (LatstabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

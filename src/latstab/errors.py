@@ -57,5 +57,12 @@ class CertificateError(LatstabError):
     """A computed witness failed its own re-verification."""
 
 
+def certify(ok: bool, what: str) -> None:
+    """Raise CertificateError unless a witness passed a check; unlike an
+    `assert`, the check also runs under `python -O`."""
+    if not ok:
+        raise CertificateError(f"certificate failed: {what}")
+
+
 class NoLogicalQubitsError(LatstabError):
     """The operation needs at least one logical qubit and the code has none."""

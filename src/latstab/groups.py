@@ -307,6 +307,14 @@ class CodeStructure:
     def in_G(self, op: PauliOp) -> bool:
         return self.G.contains(op)
 
+    def check_mode(self, mode: str) -> None:
+        """Reject a mode the search engines do not know, and stabilizer mode
+        on a gauge code (whose dressed logicals need subsystem mode)."""
+        if mode not in ("stabilizer", "subsystem", "bare"):
+            raise ValidationError(f"unknown mode {mode!r}")
+        if mode == "stabilizer" and self.code.role != STABILIZER:
+            raise ValidationError("stabilizer mode on a gauge code; use subsystem")
+
     def is_logical_vec(self, v: int, mode: str, class_mask: Optional[int] = None) -> bool:
         """Target predicate for distance/barrier searches.
 
@@ -315,16 +323,9 @@ class CodeStructure:
         whole gauge group and lies outside it.  class_mask restricts targets
         to ones overlapping the given used-class bits.
         """
-        if mode in ("stabilizer", "subsystem"):
-            if mode == "stabilizer" and self.code.role != STABILIZER:
-                raise ValidationError("stabilizer mode on a gauge code; use subsystem")
-            if self.stab_syndrome_vec(v):
-                return False
-        elif mode == "bare":
-            if self.syndrome_vec(v):
-                return False
-        else:
-            raise ValidationError(f"unknown mode {mode!r}")
+        self.check_mode(mode)
+        if (self.syndrome_vec if mode == "bare" else self.stab_syndrome_vec)(v):
+            return False
         cls = self.class_bits_vec(v)
         if class_mask is not None:
             return bool(cls & class_mask)

@@ -20,7 +20,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .codes import STABILIZER, CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import CapacityError, ContractViolation, DimensionError, ValidationError
+from .errors import (
+    CapacityError,
+    ContractViolation,
+    DimensionError,
+    ValidationError,
+    certify,
+)
 from .gf2 import nullspace, pairings, parity
 from .groups import CodeStructure, get_structure
 from .pauli import PauliOp
@@ -77,8 +83,7 @@ class WalkTrace:
 
     def validate(self, structure: CodeStructure):
         rebuilt = WalkTrace.build(structure, self.steps)
-        assert rebuilt.profile == self.profile and rebuilt.final == self.final
-        assert self.eps_max == max(self.profile, default=0)
+        certify(rebuilt == self, "walk profile or endpoint does not match its steps")
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,6 @@ class BarrierResult:
 
 
 def _detector_rows(st: CodeStructure, mode: str) -> Tuple[int, ...]:
-    if mode not in ("bare", "stabilizer", "subsystem"):
-        raise ValidationError(f"unknown mode {mode!r}")
     if mode == "bare" or st.code.role == STABILIZER:
         return st.gen_omega
     return st.stab_omega
@@ -121,6 +124,7 @@ def distance_bruteforce(
     if the cap is exhausted first, a typed lower-bound result (d > cap).
     """
     st = get_structure(code)
+    st.check_mode(mode)
     if st.k == 0:
         return DistanceResult(None, "no_logicals", mode, "bruteforce")
     cap = weight_cap if weight_cap is not None else budgets.weight_cap
@@ -206,6 +210,7 @@ def distance_dp(
     import numpy as np
 
     st = get_structure(code)
+    st.check_mode(mode)
     if st.k == 0:
         return DistanceResult(None, "no_logicals", mode, "dp")
     n = code.n
@@ -305,13 +310,13 @@ def distance_dp(
                 key, w = prev, w - cost
                 break
         else:
-            raise AssertionError("DP reconstruction lost the optimal path")
+            certify(False, "DP reconstruction lost the optimal path")
     letters.reverse()
     witness = PauliOp.from_letters(
         n, [(order[p], _LETTERS[li]) for p, li in enumerate(letters) if li >= 0]
     )
-    assert witness.weight() == best_w
-    assert st.is_logical(witness, "subsystem" if mode == "stabilizer" else mode, class_mask)
+    certify(witness.weight() == best_w, f"DP witness has weight {witness.weight()}, not {best_w}")
+    certify(st.is_logical(witness, mode, class_mask), "DP witness is not a target logical")
     return DistanceResult(best_w, "exact", mode, "dp", witness=witness,
                           stats={"front_peak": peak})
 
@@ -386,6 +391,7 @@ def linear_distance(
     from .geometry import axis_window_region
 
     st = get_structure(code)
+    st.check_mode(mode)
     if st.k == 0:
         return LinearDistanceResult(None, "no_logicals", mode, axis)
     lat = code.lattice
@@ -396,8 +402,7 @@ def linear_distance(
             region = axis_window_region(lat, axis, start, width)
             mask = code.qubit_mask_in(region)
             for v in _window_logical_vectors(st, mask, mode):
-                if st.is_logical_vec(v, "subsystem" if mode == "stabilizer" else mode,
-                                     class_mask):
+                if st.is_logical_vec(v, mode, class_mask):
                     op = PauliOp.from_vector(code.n, v)
                     hits.append((op.weight(), v, op))
         if hits:
@@ -447,5 +452,5 @@ def barrier_walk_bound(
     else:
         raise ValidationError(f"unknown schedule {schedule!r}")
     trace = WalkTrace.build(st, [(q, witness.letter(q)) for q in ordered])
-    assert trace.final == witness
+    certify(trace.final == witness, "walk does not end on the witness")
     return BarrierResult(trace.eps_max, "upper_bound", method, witness=trace)

@@ -20,6 +20,7 @@ from .errors import (
     LatstabError,
     NoLogicalQubitsError,
     PreconditionError,
+    certify,
 )
 from .geometry import Region, axis_window_region, boundary_shell, strip_partition
 from .gf2 import solve
@@ -37,9 +38,17 @@ class CleanResult:
     generator_indices: Tuple[int, ...] = ()
 
 
-def _trapped_witness(code: CodeSpec, mask: int, exclude: str) -> Optional[PauliOp]:
-    """Lowest-(weight, vector) operator supported in the mask that commutes
-    with the stabilizer group but lies outside S (exclude='S') or G ('G')."""
+def _cleaned(st, op: PauliOp, mult: PauliOp, mask: int, used=()) -> CleanResult:
+    cleaned = op.mul(mult)
+    certify(cleaned.restrict(mask).is_identity, "cleaned operator still acts on the region")
+    certify(st.in_S(mult), "cleaning multiplier is not a stabilizer")
+    return CleanResult("cleaned", mult, cleaned, generator_indices=tuple(used))
+
+
+def _trapped(code: CodeSpec, mask: int, exclude: str) -> CleanResult:
+    """The lowest-(weight, vector) operator supported in the mask that commutes
+    with the stabilizer group but lies outside S (exclude='S') or G ('G'),
+    which must exist when the cleaning is unsolvable."""
     st = get_structure(code)
     basis = st.S if exclude == "S" else st.G
     cands = []
@@ -47,10 +56,11 @@ def _trapped_witness(code: CodeSpec, mask: int, exclude: str) -> Optional[PauliO
         if not basis.contains_vec(v):
             op = PauliOp.from_vector(code.n, v)
             cands.append((op.weight(), v, op))
-    if not cands:
-        return None
-    cands.sort(key=lambda t: (t[0], t[1]))
-    return cands[0][2]
+    certify(bool(cands), "unsolvable cleaning must leave a trapped logical")
+    witness = min(cands, key=lambda t: (t[0], t[1]))[2]
+    certify(witness.support_mask() & ~mask == 0, "trapped logical leaves the region")
+    certify(st.is_logical(witness, "subsystem"), "trapped operator is not a logical")
+    return CleanResult("trapped_logical", trapped=witness)
 
 
 def clean_stabilizer(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
@@ -80,15 +90,8 @@ def clean_stabilizer(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult
             if (coeff >> i) & 1:
                 mult = mult.mul(code.generators[a])
                 used.append(a)
-        cleaned = op.mul(mult)
-        assert cleaned.restrict(mask).is_identity
-        assert st.in_S(mult)
-        return CleanResult("cleaned", mult, cleaned, generator_indices=tuple(used))
-    witness = _trapped_witness(code, mask, "S")
-    assert witness is not None, "unsolvable cleaning must leave a trapped logical"
-    assert witness.support_mask() & ~mask == 0
-    assert st.is_logical(witness, "subsystem")
-    return CleanResult("trapped_logical", trapped=witness)
+        return _cleaned(st, op, mult, mask, used)
+    return _trapped(code, mask, "S")
 
 
 def clean_subsystem(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
@@ -109,16 +112,8 @@ def clean_subsystem(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
         for i in range(len(rows)):
             if (coeff >> i) & 1:
                 v ^= st.S.rows[i]
-        mult = PauliOp.from_vector(code.n, v)
-        cleaned = op.mul(mult)
-        assert cleaned.restrict(mask).is_identity
-        assert st.in_S(mult)
-        return CleanResult("cleaned", mult, cleaned)
-    witness = _trapped_witness(code, mask, "G")
-    assert witness is not None, "unsolvable cleaning must leave a trapped logical"
-    assert witness.support_mask() & ~mask == 0
-    assert st.is_logical(witness, "subsystem")
-    return CleanResult("trapped_logical", trapped=witness)
+        return _cleaned(st, op, PauliOp.from_vector(code.n, v), mask)
+    return _trapped(code, mask, "G")
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 
 import pytest
 
+import latstab
 from latstab import PauliOp, get_structure
 from latstab.gf2 import parity
 from latstab.pauli import omega
@@ -91,3 +95,15 @@ def random_centralizer_element(rng, st, bare=False):
         if rng.random() < 0.5:
             v ^= w
     return PauliOp.from_vector(st.n, v)
+
+
+def run_optimized(script):
+    """Run a script under `python -O` (asserts stripped) against this
+    checkout's latstab; returns its stdout split into words."""
+    src = os.path.dirname(os.path.dirname(latstab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()

@@ -1,10 +1,5 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
-import latstab
 from latstab import (
     Budgets,
     CertificateError,
@@ -25,7 +20,7 @@ from latstab import (
 from latstab import barrier
 from latstab.errors import CapacityError
 
-from conftest import walk_barrier_oracle
+from conftest import run_optimized, walk_barrier_oracle
 
 
 def test_matches_unquotiented_oracle_repetition():
@@ -233,13 +228,7 @@ def test_failed_certificate_raises_under_optimize():
         "except CertificateError:\n"
         "    print('CertificateError', __debug__)\n"
     )
-    src = os.path.dirname(os.path.dirname(latstab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["CertificateError", "False"]
+    assert run_optimized(script) == ["CertificateError", "False"]
 
 
 def test_reconstruct_rejects_broken_parent_chain():

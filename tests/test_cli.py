@@ -108,6 +108,22 @@ def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "--family", "repetition", "--L", "x"],
+    ["audit", "--family", "repetition", "--L", "2..3..4"],
+    ["clean", "--code", "{code}", "--op", "", "--sites", "(1,,2)"],
+    ["validate", "--code", "{dir}"],
+    ["distance", "--code", "{code}", "--mode", "stabilizer"],
+], ids=["L_not_integer", "L_two_ranges", "site_empty_coordinate", "code_is_directory",
+        "stabilizer_mode_on_gauge_code"])
+def test_malformed_cli_input_exit_1(bs3_file, tmp_path, capsys, argv):
+    argv = [a.format(code=bs3_file, dir=tmp_path) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_distance_auto_reports_bad_axis(tmp_path, capsys):
     path = tmp_path / "toric3.code"
     path.write_text(serialize_code(make_toric_2d(3)))

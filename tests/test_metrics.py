@@ -2,7 +2,9 @@ import pytest
 
 from latstab import (
     PauliOp,
+    barrier_exact,
     barrier_walk_bound,
+    distance,
     distance_bruteforce,
     distance_dp,
     energy_cost,
@@ -15,10 +17,10 @@ from latstab import (
     make_surface_2d,
     make_toric_2d,
 )
-from latstab.errors import ContractViolation
+from latstab.errors import ContractViolation, ValidationError
 from latstab.metrics import WalkTrace
 
-from conftest import brute_min_weight
+from conftest import brute_min_weight, run_optimized
 
 
 def test_energy_cost_identity_zero():
@@ -164,3 +166,43 @@ def test_walk_bound_explicit_order():
     assert res.value == 2
     with pytest.raises(ContractViolation):
         barrier_walk_bound(code, xbar, order=[0, 1])
+
+
+@pytest.mark.parametrize("engine", [
+    lambda code: distance(code, "stabilizer"),
+    lambda code: distance_dp(code, mode="stabilizer"),
+    lambda code: distance_bruteforce(code, "stabilizer"),
+    lambda code: linear_distance(code, mode="stabilizer"),
+    lambda code: barrier_exact(code, mode="stabilizer"),
+], ids=["distance", "distance_dp", "distance_bruteforce", "linear_distance",
+        "barrier_exact"])
+def test_stabilizer_mode_rejected_on_gauge_code(engine):
+    with pytest.raises(ValidationError, match="stabilizer mode on a gauge code"):
+        engine(make_bacon_shor_2d(3))
+
+
+@pytest.mark.parametrize("script", [
+    # walk bound: the rebuilt walk stops one letter short of the witness
+    "import latstab.metrics as m\n"
+    "from latstab import PauliOp, make_repetition_1d\n"
+    "build = m.WalkTrace.build\n"
+    "m.WalkTrace.build = staticmethod(lambda st, steps: build(st, steps[:-1]))\n"
+    "call = lambda: m.barrier_walk_bound(make_repetition_1d(3), PauliOp(3, 0b111, 0))\n",
+    # trapping: the window search finds no logical in a region that traps one
+    "import latstab.transforms as t\n"
+    "from latstab import Region, make_toric_2d\n"
+    "t._window_logical_vectors = lambda *args: []\n"
+    "code = make_toric_2d(3)\n"
+    "op = code.parse_op('X(1,0) X(1,2) X(1,4)')\n"
+    "region = Region.from_box(code.lattice, [0, 0], [3, 1])\n"
+    "call = lambda: t.clean_stabilizer(code, op, region)\n",
+], ids=["walk_bound", "clean_trapped"])
+def test_failed_certificate_raises_under_optimize(script):
+    script += (
+        "from latstab import CertificateError\n"
+        "try:\n"
+        "    call()\n"
+        "except CertificateError:\n"
+        "    print('CertificateError', __debug__)\n"
+    )
+    assert run_optimized(script) == ["CertificateError", "False"]
