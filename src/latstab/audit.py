@@ -9,13 +9,14 @@ range) and labeled as such.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .barrier import barrier_exact
 from .codes import STABILIZER, CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import LatstabError, PreconditionError
+from .errors import LatstabError, PreconditionError, ValidationError
 from .geometry import min_window
 from .groups import get_structure
 from .metrics import barrier_walk_bound, distance, linear_distance
@@ -201,16 +202,22 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
     return rec
 
 
-def family_kwargs(D: Optional[int], boundary: Optional[str]) -> Dict:
-    """The optional family-builder arguments that were given."""
-    return {key: v for key, v in (("D", D), ("boundary", boundary)) if v is not None}
+def family_kwargs(family: str, D: Optional[int], boundary: Optional[str]) -> Dict:
+    """The optional family-builder arguments that were given; an argument
+    the family's builder does not take is a ValidationError."""
+    if family not in FAMILIES:
+        raise LatstabError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    kwargs = {key: v for key, v in (("D", D), ("boundary", boundary)) if v is not None}
+    accepted = inspect.signature(FAMILIES[family]).parameters
+    for key in kwargs:
+        if key not in accepted:
+            raise ValidationError(f"family {family!r} takes no {key} argument")
+    return kwargs
 
 
 def build_family_code(family: str, L: int, D: Optional[int] = None,
                       boundary: Optional[str] = None) -> CodeSpec:
-    if family not in FAMILIES:
-        raise LatstabError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[family](L, **family_kwargs(D, boundary))
+    return FAMILIES[family](L, **family_kwargs(family, D, boundary))
 
 
 def audit_family(
@@ -223,7 +230,8 @@ def audit_family(
 ) -> Tuple[List[InstanceRecord], List[Check]]:
     """Audit one family across sizes; returns instance records plus the
     cross-size checks (finite-L constancy of the barrier column)."""
-    tasks = [(family, L, D, boundary, budgets) for L in L_values]
+    kwargs = family_kwargs(family, D, boundary)
+    tasks = [(family, L, kwargs, budgets) for L in L_values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -248,9 +256,8 @@ def audit_family(
 
 
 def _audit_task(task) -> InstanceRecord:
-    family, L, D, boundary, budgets = task
-    code = build_family_code(family, L, D, boundary)
-    return audit_instance(family, code, {"L": L, **family_kwargs(D, boundary)}, budgets)
+    family, L, kwargs, budgets = task
+    return audit_instance(family, FAMILIES[family](L, **kwargs), {"L": L, **kwargs}, budgets)
 
 
 def check_to_jsonable(c: Check) -> Dict:

@@ -15,6 +15,7 @@ import io
 import json
 import re
 import sys
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from . import __version__
@@ -146,12 +147,9 @@ def _region_arg(args, code) -> Region:
 
 
 def _budgets(args) -> Budgets:
-    base = Budgets.from_env()
-    return Budgets(
-        weight_cap=args.weight_cap if args.weight_cap is not None else base.weight_cap,
-        node_cap=args.node_cap if args.node_cap is not None else base.node_cap,
-        mem_mb=args.mem_budget if args.mem_budget is not None else base.mem_mb,
-    )
+    flags = {"weight_cap": args.weight_cap, "node_cap": args.node_cap,
+             "mem_mb": args.mem_budget}
+    return replace(Budgets.from_env(), **{k: v for k, v in flags.items() if v is not None})
 
 
 def _parse_L(spec: str) -> List[int]:
@@ -330,7 +328,7 @@ def _cmd_audit(args) -> int:
         budgets=budgets, jobs=args.jobs,
     )
     params = {"family": args.family, "L": L_values,
-              **family_kwargs(args.D, args.boundary)}
+              **family_kwargs(args.family, args.D, args.boundary)}
     digest = _digest(json.dumps(params, sort_keys=True).encode())
     all_checks = [c for rec in records for c in rec.checks] + family_checks
     failed = [c for c in all_checks if not c.holds]

@@ -11,12 +11,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import gf2
 from .codes import STABILIZER, CodeSpec
 from .errors import ValidationError
 from .pauli import PauliOp, omega
 
 _MAX_COSET_ENUM_RANK = 16
+_WORD = np.dtype("<u8")
 
 
 class GroupBasis:
@@ -129,40 +132,77 @@ class LogicalBasis:
         return len(self.gauge_pairs)
 
 
-def _coset_reduce(vec: int, rows: Sequence[int], n: int) -> int:
-    """Deterministic low-weight representative of vec modulo span(rows).
+class CosetReducer:
+    """Deterministic low-weight representative of a vector modulo span(rows).
 
-    Exact (full enumeration) when the span is small, greedy descent otherwise.
+    Exact when the rows span at most 2^_MAX_COSET_ENUM_RANK elements: the
+    span is laid out once, at construction, as 2W uint64 word columns of
+    length 2^rank (W = ceil(n/64) little-endian X words, then W Z words), and
+    each call weighs every candidate vec ^ s at once, one word column at a
+    time into preallocated buffers.  Greedy descent over the rows otherwise.
     Tie-break: lexicographically smallest vector.
     """
-    def wt(v):
-        return ((v & ((1 << n) - 1)) | (v >> n)).bit_count()
 
-    rows = list(rows)
-    if len(rows) <= _MAX_COSET_ENUM_RANK:
+    def __init__(self, rows: Sequence[int], n: int):
+        self.n = n
+        self.rows = list(rows)
+        self.nwords = (n + 63) // 64
+        self.span = None
+        if len(self.rows) <= _MAX_COSET_ENUM_RANK:
+            size = 1 << len(self.rows)
+            # separate columns rather than one (2^rank, 2W) block: freeing a
+            # multi-MB block raises glibc's dynamic mmap threshold, after which
+            # later allocations stay on the heap (+2 MB peak RSS on the
+            # structure-large benchmark workload)
+            span = [np.zeros(size, dtype=_WORD) for _ in range(2 * self.nwords)]
+            for i, r in enumerate(self.rows):
+                for col, word in zip(span, self._words(r)):
+                    col[1 << i:2 << i] = col[:1 << i] ^ word
+            self.span = span
+            self._x = np.empty(size, dtype=_WORD)
+            self._z = np.empty(size, dtype=_WORD)
+            self._weights = np.empty(size, dtype=np.uint32)
+
+    def _words(self, v: int) -> np.ndarray:
+        packed = (v & ((1 << self.n) - 1)) | ((v >> self.n) << (64 * self.nwords))
+        return np.frombuffer(packed.to_bytes(16 * self.nwords, "little"), dtype=_WORD)
+
+    def __call__(self, vec: int) -> int:
+        if self.span is None:
+            return self._greedy(vec)
+        W = self.nwords
+        words = self._words(vec)
+        weights = self._weights
+        weights.fill(0)
+        for w in range(W):
+            x = np.bitwise_xor(self.span[w], words[w], out=self._x)
+            z = np.bitwise_xor(self.span[W + w], words[W + w], out=self._z)
+            weights += np.bitwise_count(np.bitwise_or(x, z, out=x))
+        idx = np.flatnonzero(weights == weights.min())
+        lightest = np.stack([col[idx] for col in self.span], axis=1) ^ words
+        # Z words sit above X words and x < 2^n, so the packed words order
+        # like the vectors they encode
+        packed = min(int.from_bytes(row.tobytes(), "little") for row in lightest)
+        return (packed & ((1 << 64 * W) - 1)) | ((packed >> 64 * W) << self.n)
+
+    def _greedy(self, vec: int) -> int:
+        n = self.n
+
+        def wt(v):
+            return ((v & ((1 << n) - 1)) | (v >> n)).bit_count()
+
+        improved = True
         best = vec
         bw = wt(vec)
-        span = [0]
-        for r in rows:
-            span += [s ^ r for s in span]
-        for s in span:
-            cand = vec ^ s
-            cw = wt(cand)
-            if cw < bw or (cw == bw and cand < best):
-                best, bw = cand, cw
+        while improved:
+            improved = False
+            for r in self.rows:
+                cand = best ^ r
+                cw = wt(cand)
+                if cw < bw or (cw == bw and cand < best):
+                    best, bw = cand, cw
+                    improved = True
         return best
-    improved = True
-    best = vec
-    bw = wt(vec)
-    while improved:
-        improved = False
-        for r in rows:
-            cand = best ^ r
-            cw = wt(cand)
-            if cw < bw or (cw == bw and cand < best):
-                best, bw = cand, cw
-                improved = True
-    return best
 
 
 def _symplectic_pairs(vectors: List[int], n: int) -> List[Tuple[int, int]]:
@@ -245,11 +285,13 @@ class CodeStructure:
         if len(used_ext) != 2 * self.k:
             raise ValidationError("logical extension has wrong dimension")
 
+        reduce = CosetReducer(self.S.rows, n)
+
         def build_pairs(vectors):
             pairs = []
             for a, b in _symplectic_pairs(vectors, n):
-                a = _coset_reduce(a, self.S.rows, n)
-                b = _coset_reduce(b, self.S.rows, n)
+                a = reduce(a)
+                b = reduce(b)
                 a, b = _orient_pair(n, a, b)
                 pairs.append((PauliOp.from_vector(n, a), PauliOp.from_vector(n, b)))
             return tuple(pairs)

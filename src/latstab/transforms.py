@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geometry import Region, axis_window_region, boundary_shell, strip_partition
 from .gf2 import solve
-from .groups import _coset_reduce, contained_subgroup, get_structure
+from .groups import CosetReducer, contained_subgroup, get_structure
 from .metrics import _window_logical_vectors, distance, linear_distance
 from .pauli import PauliOp
 
@@ -131,7 +131,7 @@ def _reduce_in_window(code: CodeSpec, op: PauliOp, mask: int) -> PauliOp:
     the window (class and centralizer membership are preserved)."""
     st = get_structure(code)
     inside = contained_subgroup(st.G, mask)
-    return PauliOp.from_vector(code.n, _coset_reduce(op.vector, inside.rows, code.n))
+    return PauliOp.from_vector(code.n, CosetReducer(inside.rows, code.n)(op.vector))
 
 
 def strip_sweep(code: CodeSpec, axis: int = 0) -> SweepResult:

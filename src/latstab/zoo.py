@@ -268,11 +268,11 @@ def steane_collective_logicals(code: CodeSpec) -> Tuple[PauliOp, PauliOp]:
 
 
 FAMILIES = {
-    "repetition": lambda L, boundary=OPEN, **_: make_repetition_1d(L, boundary),
-    "toric": lambda L, **_: make_toric_2d(L),
-    "surface": lambda L, **_: make_surface_2d(L),
-    "generalized_toric": lambda L, D=3, **_: make_generalized_toric(D, L),
-    "bacon_shor": lambda L, **_: make_bacon_shor_2d(L),
-    "heisenberg": lambda L, D=1, **_: make_heisenberg_gauge(D, L),
-    "steane_chain": lambda L, **_: make_steane_chain(L),
+    "repetition": lambda L, boundary=OPEN: make_repetition_1d(L, boundary),
+    "toric": lambda L: make_toric_2d(L),
+    "surface": lambda L: make_surface_2d(L),
+    "generalized_toric": lambda L, D=3: make_generalized_toric(D, L),
+    "bacon_shor": lambda L: make_bacon_shor_2d(L),
+    "heisenberg": lambda L, D=1: make_heisenberg_gauge(D, L),
+    "steane_chain": lambda L: make_steane_chain(L),
 }

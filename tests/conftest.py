@@ -76,6 +76,24 @@ def walk_barrier_oracle(code, is_target, n_limit=7):
     raise AssertionError("walks connect the Pauli group")
 
 
+def coset_reduce_oracle(vec, rows, n):
+    """Least (weight, vector) element of vec + span(rows) by plain enumeration
+    of the span as Python ints, independent of the numpy coset reducer."""
+    def wt(v):
+        return ((v & ((1 << n) - 1)) | (v >> n)).bit_count()
+
+    best, bw = vec, wt(vec)
+    span = [0]
+    for r in rows:
+        span += [s ^ r for s in span]
+    for s in span:
+        cand = vec ^ s
+        cw = wt(cand)
+        if cw < bw or (cw == bw and cand < best):
+            best, bw = cand, cw
+    return best
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -209,6 +209,49 @@ def test_bad_budget_env_exit_1(bs3_file, monkeypatch, capsys, name, raw):
     assert capsys.readouterr().err.startswith(f"error: {name}={raw!r} is not a positive integer")
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--weight-cap", "-3", "weight_cap"),
+    ("--node-cap", "0", "node_cap"),
+    ("--mem-budget", "-1", "mem_mb"),
+])
+def test_bad_budget_flag_exit_1(bs3_file, capsys, flag, value, field):
+    assert main(["distance", "--code", bs3_file, "--method", "bruteforce", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}={value} is not a positive integer")
+
+
+@pytest.mark.parametrize("kwargs", [{"weight_cap": 0}, {"node_cap": -1},
+                                    {"mem_mb": 1.5}, {"weight_cap": True}])
+def test_budgets_reject_non_positive_integers(kwargs):
+    from latstab.config import Budgets
+    from latstab.errors import ValidationError
+
+    with pytest.raises(ValidationError, match="is not a positive integer"):
+        Budgets(**kwargs)
+
+
+@pytest.mark.parametrize("argv, family, arg", [
+    (["zoo", "toric", "--L", "3", "--D", "3"], "toric", "D"),
+    (["zoo", "bacon_shor", "--L", "3", "--boundary", "periodic"], "bacon_shor", "boundary"),
+    (["audit", "--family", "toric", "--L", "2", "--D", "3"], "toric", "D"),
+    (["audit", "--family", "heisenberg", "--L", "3", "--boundary", "open",
+      "--jobs", "2"], "heisenberg", "boundary"),
+])
+def test_family_argument_not_taken_exit_1(tmp_path, capsys, argv, family, arg):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: family {family!r} takes no {arg} argument")
+    assert not out.exists()
+
+
+def test_family_arguments_taken(capsys):
+    rc, text = run(capsys, "zoo", "repetition", "--L", "3", "--boundary", "periodic")
+    assert rc == 0 and text.startswith("lattice D=1 L=3 boundary=periodic")
+    rc, text = run(capsys, "zoo", "generalized_toric", "--L", "2", "--D", "2")
+    assert rc == 0 and text.startswith("lattice D=2 ")
+
+
 def test_budget_env_overrides_cli_default(bs3_file, monkeypatch, capsys):
     from latstab.config import Budgets
 

@@ -1,4 +1,7 @@
+import hashlib
 import random
+
+import pytest
 
 from latstab import (
     PauliOp,
@@ -15,8 +18,9 @@ from latstab import (
 )
 from latstab.geometry import Region
 from latstab.gf2 import rank
+from latstab.groups import CosetReducer, GroupBasis
 
-from conftest import all_paulis, random_centralizer_element
+from conftest import all_paulis, coset_reduce_oracle, random_centralizer_element
 
 
 def zz(n, i, j):
@@ -236,3 +240,59 @@ def test_centralizer_elements_have_zero_stab_syndrome(rng):
         for _ in range(50):
             op = random_centralizer_element(rng, st)
             assert st.stab_syndrome_vec(op.vector) == 0
+
+
+def _independent_rows(rnd, n, count, sparse):
+    """count independent random 2n-bit rows; sparse rows touch 1-3 qubits,
+    so many cosets hold several least-weight elements."""
+    rows = []
+    while len(rows) < count:
+        if sparse:
+            v = 0
+            for q in rnd.sample(range(n), min(n, rnd.randint(1, 3))):
+                v ^= PauliOp.single(n, q, rnd.choice("XYZ")).vector
+        else:
+            v = rnd.getrandbits(2 * n)
+        if GroupBasis(n, rows + [v]).rank > len(rows):
+            rows.append(v)
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 81, 130])
+def test_coset_reducer_matches_enumeration_oracle(n):
+    # one word, the word boundary (63/64/65) and several words per half
+    rnd = random.Random(n)
+    for r in sorted({min(r, 2 * n) for r in (0, 1, 2, 3, 6, 11, 16)}):
+        for sparse in (False, True):
+            rows = _independent_rows(rnd, n, r, sparse)
+            reduce = CosetReducer(rows, n)
+            near = [rnd.choice(rows) ^ (1 << rnd.randrange(2 * n)) for _ in range(3)] if rows else []
+            for vec in [0, rnd.getrandbits(2 * n), (1 << 2 * n) - 1] + near:
+                assert reduce(vec) == coset_reduce_oracle(vec, rows, n), (n, r, sparse, vec)
+
+
+@pytest.mark.parametrize("n, vec, rows, expected", [
+    # X_0 and X_64 weigh the same: the smaller vector wins, across words
+    (65, 1 << 64, [1 | (1 << 64)], 1),
+    # Z_0 against X_0 on a three-word layout: the X half is lower
+    (130, 1 << 130, [1 | (1 << 130)], 1),
+    # X_{n-1} against Z_0 right at the X/Z seam: vec itself is least
+    (64, 1 << 63, [(1 << 63) | (1 << 64)], 1 << 63),
+    # X_2 + span(X_0 X_1, X_1 X_2) holds X_0, X_1, X_2 (weight 1) and X_0 X_1 X_2
+    (5, 0b100, [0b011, 0b110], 0b001),
+])
+def test_coset_reducer_tie_break_least_vector(n, vec, rows, expected):
+    assert CosetReducer(rows, n)(vec) == expected == coset_reduce_oracle(vec, rows, n)
+
+
+@pytest.mark.parametrize("L, digest", [
+    (7, "bc800c9d2c257acf497aefb984d6ccc322c1b107028b0bbe48557329d1d48780"),
+    (9, "4a09ae656040d72afaf889d62dbd2a91e368130a60eed45f42fac3e0320422e7"),
+])
+def test_bacon_shor_logical_basis_pinned(L, digest):
+    # SHA-256 of the pair vectors as built by full Python enumeration of the
+    # rank-12 / rank-16 stabilizer span
+    lb = get_structure(make_bacon_shor_2d(L)).logicals
+    vecs = ([(a.vector, b.vector) for a, b in lb.pairs],
+            [(a.vector, b.vector) for a, b in lb.gauge_pairs])
+    assert hashlib.sha256(repr(vecs).encode()).hexdigest() == digest
