@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .barrier import barrier_exact
 from .codes import STABILIZER, CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import LatstabError, PreconditionError, ValidationError
+from .errors import CapacityError, LatstabError, PreconditionError, ValidationError
 from .geometry import min_window
 from .groups import get_structure
 from .metrics import barrier_walk_bound, distance, linear_distance
@@ -129,22 +129,23 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
         rec.skipped.append({"what": "d1", "reason": "no logical qubits"})
 
     # exact barrier when the coset graph fits
-    nbits = 2 * code.n - st.s
     exact_barrier = None
     if st.k == 0:
         rec.skipped.append({"what": "barrier", "reason": "no logical qubits"})
-    elif (1 << nbits) <= budgets.node_cap:
-        bres = barrier_exact(code, mode="subsystem", budgets=budgets)
-        exact_barrier = bres.value
-        rec.metrics["barrier"] = bres.value
-        rec.metrics["barrier_method"] = bres.method
-        if bres.witness is not None:
-            rec.witnesses["barrier_walk_target"] = code.format_op(bres.witness.final)
     else:
-        rec.skipped.append({
-            "what": "barrier_exact",
-            "reason": f"coset graph 2^{nbits} exceeds node cap {budgets.node_cap}",
-        })
+        try:
+            bres = barrier_exact(code, mode="subsystem", budgets=budgets)
+        except CapacityError as e:
+            rec.skipped.append({
+                "what": "barrier_exact",
+                "reason": f"coset graph 2^{e.required.bit_length() - 1} exceeds node cap {e.cap}",
+            })
+        else:
+            exact_barrier = bres.value
+            rec.metrics["barrier"] = bres.value
+            rec.metrics["barrier_method"] = bres.method
+            if bres.witness is not None:
+                rec.witnesses["barrier_walk_target"] = code.format_op(bres.witness.final)
 
     # quasi-1D string walk bound via the strip sweep (2D families)
     sweep_bound = None
@@ -231,6 +232,8 @@ def audit_family(
     """Audit one family across sizes; returns instance records plus the
     cross-size checks (finite-L constancy of the barrier column)."""
     kwargs = family_kwargs(family, D, boundary)
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     tasks = [(family, L, kwargs, budgets) for L in L_values]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -156,10 +156,14 @@ def _parse_L(spec: str) -> List[int]:
     try:
         if ".." in spec:
             a, b = spec.split("..")
-            return list(range(int(a), int(b) + 1))
-        return [int(t) for t in spec.split(",")]
+            sizes = list(range(int(a), int(b) + 1))
+        else:
+            sizes = [int(t) for t in spec.split(",")]
     except ValueError:
         raise LatstabError(f"bad --L {spec!r}; expected '2..4' or '2,3,4'") from None
+    if not sizes:
+        raise LatstabError(f"--L {spec!r} names no size")
+    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,17 +49,6 @@ class GroupBasis:
     def contains(self, op: PauliOp) -> bool:
         return self.contains_vec(op.vector)
 
-    def member_vec(self, v: int) -> Optional[int]:
-        """Coefficient mask over self.rows, or None if v is outside the span."""
-        return gf2.solve(list(self.rows), v, 2 * self.n)
-
-    def member(self, op: PauliOp) -> Optional[Tuple[int, ...]]:
-        """Unique GF(2) exponent vector of op over the basis rows, or None."""
-        mask = self.member_vec(op.vector)
-        if mask is None:
-            return None
-        return tuple((mask >> i) & 1 for i in range(self.rank))
-
     def ops(self) -> List[PauliOp]:
         return [PauliOp.from_vector(self.n, r) for r in self.rows]
 
@@ -357,21 +346,31 @@ class CodeStructure:
         if mode == "stabilizer" and self.code.role != STABILIZER:
             raise ValidationError("stabilizer mode on a gauge code; use subsystem")
 
+    def target_bits(self, class_mask: Optional[int]) -> int:
+        """The used-class bits a target must overlap: all 2k of them for
+        None, else the mask's bits among them (bits >= 2k name no pair).
+        A mask that selects no used pair is a ValidationError."""
+        used = (1 << (2 * self.k)) - 1
+        if class_mask is None:
+            return used
+        if not class_mask & used:
+            raise ValidationError(
+                f"class mask {class_mask:#b} selects none of the {self.k} used logical pairs")
+        return class_mask & used
+
     def is_logical_vec(self, v: int, mode: str, class_mask: Optional[int] = None) -> bool:
         """Target predicate for distance/barrier searches.
 
         stabilizer/subsystem: commutes with the stabilizer group and carries a
         used-class component (outside S resp. G).  bare: commutes with the
         whole gauge group and lies outside it.  class_mask restricts targets
-        to ones overlapping the given used-class bits.
+        to ones overlapping the given used-class bits (see target_bits).
         """
         self.check_mode(mode)
+        targets = self.target_bits(class_mask)
         if (self.syndrome_vec if mode == "bare" else self.stab_syndrome_vec)(v):
             return False
-        cls = self.class_bits_vec(v)
-        if class_mask is not None:
-            return bool(cls & class_mask)
-        return cls != 0
+        return bool(self.class_bits_vec(v) & targets)
 
     def is_logical(self, op: PauliOp, mode: str = "subsystem",
                    class_mask: Optional[int] = None) -> bool:

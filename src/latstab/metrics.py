@@ -8,7 +8,8 @@ Search modes share one target predicate (groups.CodeStructure.is_logical):
   bare        operators in C(G) outside G         (bare logicals)
 
 A class_mask narrows targets to ones whose used-logical class overlaps the
-mask; restricting to the classes outside <S, designated pairs> is exactly the
+mask (CodeStructure.target_bits, which rejects a mask selecting no used pair);
+restricting to the classes outside <S, designated pairs> is exactly the
 gauge-qubit distance/barrier, so gauge-qubit modes are expressed as masks.
 """
 
@@ -105,12 +106,6 @@ def _detector_rows(st: CodeStructure, mode: str) -> Tuple[int, ...]:
     return st.stab_omega
 
 
-def _target_ok(cls: int, class_mask: Optional[int]) -> bool:
-    if class_mask is not None:
-        return bool(cls & class_mask)
-    return cls != 0
-
-
 def distance_bruteforce(
     code: CodeSpec,
     mode: str = "subsystem",
@@ -127,6 +122,7 @@ def distance_bruteforce(
     st.check_mode(mode)
     if st.k == 0:
         return DistanceResult(None, "no_logicals", mode, "bruteforce")
+    targets = st.target_bits(class_mask)
     cap = weight_cap if weight_cap is not None else budgets.weight_cap
     n = code.n
     det_rows = _detector_rows(st, mode)
@@ -146,7 +142,7 @@ def distance_bruteforce(
                 pos, dacc, cacc, letters = stack.pop()
                 if pos == w:
                     examined += 1
-                    if dacc == 0 and _target_ok(cacc, class_mask):
+                    if dacc == 0 and cacc & targets:
                         witness = PauliOp.from_letters(
                             n, [(q, _LETTERS[li]) for q, li in zip(support, letters)]
                         )
@@ -213,6 +209,7 @@ def distance_dp(
     st.check_mode(mode)
     if st.k == 0:
         return DistanceResult(None, "no_logicals", mode, "dp")
+    targets = st.target_bits(class_mask)
     n = code.n
     if not 0 <= axis < code.lattice.D:
         raise DimensionError(f"axis {axis} outside 0..{code.lattice.D - 1}")
@@ -283,9 +280,9 @@ def distance_dp(
         trail.append((keys, weights))
 
     cls_vals = (keys >> np.uint64(det_width)).astype(np.int64)
-    sel = cls_vals != 0 if class_mask is None else (cls_vals & class_mask) != 0
-    if not sel.any():
-        return DistanceResult(None, "no_logicals", mode, "dp")
+    sel = (cls_vals & targets) != 0
+    # every used class is carried by some logical, so some key reaches it
+    certify(sel.any(), "DP front holds no target class")
     cand = np.flatnonzero(sel)
     best_i = cand[int(np.argmin(weights[cand]))]
     best_key = np.uint64(keys[best_i])
@@ -394,6 +391,7 @@ def linear_distance(
     st.check_mode(mode)
     if st.k == 0:
         return LinearDistanceResult(None, "no_logicals", mode, axis)
+    st.target_bits(class_mask)  # reject an empty mask before the scan
     lat = code.lattice
     for width in range(1, lat.L + 1):
         starts = range(lat.L) if lat.periodic and width < lat.L else range(lat.L - width + 1)

@@ -18,6 +18,7 @@ from latstab import (
     make_toric_2d,
 )
 from latstab import barrier
+from latstab.audit import audit_instance
 from latstab.errors import CapacityError
 
 from conftest import run_optimized, walk_barrier_oracle
@@ -108,6 +109,17 @@ def test_node_cap_capacity_error():
     assert "barrier_walk_bound" in str(exc.value)
 
 
+def test_audit_records_node_cap_skip():
+    code = make_toric_2d(3)
+    rec = audit_instance("toric", code, {"L": 3}, Budgets(node_cap=2**10))
+    assert {"what": "barrier_exact",
+            "reason": "coset graph 2^20 exceeds node cap 1024"} in rec.skipped
+    # the strip-sweep walk bound stands in for the skipped exact value
+    assert rec.metrics["barrier"] == rec.metrics["barrier_walk_bound"] == 4
+    assert rec.metrics["barrier_method"] == "walk_row_by_row_upper_bound"
+    assert "barrier_naive_walk" not in rec.metrics
+
+
 def test_no_logicals_result():
     from latstab import CodeSpec, Lattice
 
@@ -119,19 +131,13 @@ def test_no_logicals_result():
 
 def test_gauge_qubit_mode_toric():
     code = make_toric_2d(3)
-    # gauging either logical pair cannot lower the barrier below the
-    # stabilizer value, and the remaining string still costs only 4
-    for designated in ([0], [1]):
-        res = barrier_exact(code, mode="gauge_qubits", gauge_pair_indices=designated)
+    # gauging either logical pair (a class mask over the other, kept pair)
+    # cannot lower the barrier below the stabilizer value, and the remaining
+    # string still costs only 4
+    for kept in (0b1100, 0b0011):
+        res = barrier_exact(code, class_mask=kept)
         assert res.value == 4
         assert res.status == "exact"
-
-
-def test_gauge_qubit_mode_quotient_is_smaller():
-    code = make_toric_2d(3)
-    full = barrier_exact(code)
-    gauged = barrier_exact(code, mode="gauge_qubits", gauge_pair_indices=[0])
-    assert gauged.stats["nodes"] < full.stats["nodes"]
 
 
 def test_bacon_shor_subsystem_barrier_endpoint_cost():
@@ -172,22 +178,6 @@ def test_class_mask_matches_unquotiented_oracle():
                 code, lambda op: st.is_logical(op, "subsystem", class_mask=mask)
             )
             assert got == want, (code.name, mask)
-
-
-def test_gauge_qubit_mode_matches_unquotiented_oracle():
-    for code in _small_codes():
-        st = get_structure(code)
-        for j in range(st.k):
-            kept = sum(0b11 << (2 * i) for i in range(st.k) if i != j)
-            # one class mask per kept class bit, plus all of them
-            for class_mask in [None] + [1 << b for b in range(2 * st.k) if kept >> b & 1]:
-                check = kept if class_mask is None else kept & class_mask
-                got = barrier_exact(code, mode="gauge_qubits", gauge_pair_indices=[j],
-                                    class_mask=class_mask).value
-                want = walk_barrier_oracle(
-                    code, lambda op: st.is_logical(op, "subsystem", class_mask=check)
-                )
-                assert got == want, (code.name, j, class_mask)
 
 
 @pytest.mark.parametrize("code, value, steps", [

@@ -1,0 +1,56 @@
+"""The names the benchmark harness in perfbench/ looks up in latstab.
+
+The harness wraps layer entry points and calls library functions by name,
+from outside the program, so a rename or a deletion in latstab would only
+show up as a broken `perfbench/run.py --trace 1` or a failed pass.  The
+harness modules are plain data and are loaded here by path, unchanged.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import latstab
+import latstab.codes
+from latstab.zoo import FAMILIES
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in tracer.ENTRY_POINTS])
+def test_traced_entry_point_exists(module, attr):
+    assert callable(getattr(importlib.import_module(f"latstab.{module}"), attr, None))
+
+
+@pytest.mark.parametrize("name", tracer.ZOO_BUILDERS)
+def test_traced_zoo_builder_exists(name):
+    assert callable(getattr(importlib.import_module("latstab.zoo"), name, None))
+
+
+@pytest.mark.parametrize("fn, family",
+                         sorted({(fn, fam) for fn, fam, _, _ in workloads.EXACT_CALLS}))
+def test_exact_call_exists(fn, family):
+    assert callable(getattr(latstab, fn, None))
+    assert family in FAMILIES
+
+
+def test_traced_method_exists():
+    assert callable(latstab.codes.CodeSpec.validate_locality)
+
+
+def test_workload_families_exist():
+    used = [family for family, _ in workloads.AUDIT_FAMILIES + workloads.STRUCTURE_CODES]
+    assert set(used) <= set(FAMILIES)

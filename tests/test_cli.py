@@ -114,8 +114,11 @@ def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     ["clean", "--code", "{code}", "--op", "", "--sites", "(1,,2)"],
     ["validate", "--code", "{dir}"],
     ["distance", "--code", "{code}", "--mode", "stabilizer"],
+    ["audit", "--family", "toric", "--L", "5..2"],
+    ["audit", "--family", "repetition", "--L", "3", "--jobs", "0"],
+    ["audit", "--family", "repetition", "--L", "3", "--jobs", "-4"],
 ], ids=["L_not_integer", "L_two_ranges", "site_empty_coordinate", "code_is_directory",
-        "stabilizer_mode_on_gauge_code"])
+        "stabilizer_mode_on_gauge_code", "L_empty_range", "jobs_zero", "jobs_negative"])
 def test_malformed_cli_input_exit_1(bs3_file, tmp_path, capsys, argv):
     argv = [a.format(code=bs3_file, dir=tmp_path) for a in argv]
     assert main(argv) == 1

@@ -33,13 +33,6 @@ def test_span_basis_rank():
     assert span_basis(3, []).rank == 0
 
 
-def test_member_exponents():
-    b = span_basis(3, [zz(3, 0, 1), zz(3, 1, 2)])
-    assert b.member(PauliOp.identity(3)) == (0, 0)
-    assert b.member(zz(3, 0, 2)) == (1, 1)
-    assert b.member(PauliOp.single(3, 0, "X")) is None
-
-
 def test_centralizer_single_z():
     b = span_basis(1, [PauliOp.single(1, 0, "Z")])
     c = centralizer(b)

@@ -181,6 +181,22 @@ def test_stabilizer_mode_rejected_on_gauge_code(engine):
         engine(make_bacon_shor_2d(3))
 
 
+@pytest.mark.parametrize("mask", [0, 0b110000], ids=["zero", "above_2k"])
+@pytest.mark.parametrize("engine", [
+    lambda code, mask: distance_dp(code, class_mask=mask),
+    lambda code, mask: distance_bruteforce(code, weight_cap=3, class_mask=mask),
+    lambda code, mask: linear_distance(code, class_mask=mask),
+    lambda code, mask: barrier_exact(code, class_mask=mask),
+    lambda code, mask: get_structure(code).is_logical(PauliOp.identity(code.n),
+                                                      class_mask=mask),
+], ids=["distance_dp", "distance_bruteforce", "linear_distance", "barrier_exact",
+        "is_logical"])
+def test_class_mask_selecting_no_pair_rejected(engine, mask):
+    # toric 3 has k = 2, so class bits 0..3 name its two used pairs
+    with pytest.raises(ValidationError, match="selects none of the 2 used logical pairs"):
+        engine(make_toric_2d(3), mask)
+
+
 @pytest.mark.parametrize("script", [
     # walk bound: the rebuilt walk stops one letter short of the witness
     "import latstab.metrics as m\n"
