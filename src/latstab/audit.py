@@ -136,10 +136,10 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
         try:
             bres = barrier_exact(code, mode="subsystem", budgets=budgets)
         except CapacityError as e:
-            rec.skipped.append({
-                "what": "barrier_exact",
-                "reason": f"coset graph 2^{e.required.bit_length() - 1} exceeds node cap {e.cap}",
-            })
+            nbits = e.required.bit_length() - 1
+            limit = (f"exceeds node cap {e.cap}" if e.cap == budgets.node_cap
+                     else f"needs {nbits}-bit labels; the search holds 64")
+            rec.skipped.append({"what": "barrier_exact", "reason": f"coset graph 2^{nbits} {limit}"})
         else:
             exact_barrier = bres.value
             rec.metrics["barrier"] = bres.value

@@ -26,7 +26,7 @@ import numpy as np
 from .codes import CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import CapacityError, CertificateError, ValidationError, certify
-from .gf2 import pairings, parity, solve
+from .gf2 import Echelon, pairings, parity
 from .groups import CodeStructure, get_structure
 from .metrics import BarrierResult, WalkTrace
 from .pauli import PauliOp, omega
@@ -59,10 +59,11 @@ class _Quotient:
             for u in u_rows:
                 if parity(u & qo):
                     raise ValidationError("quotient unsound: label functional sees S")
-        # every Hamiltonian term expressed over the label basis
+        # every Hamiltonian term over the label basis, from one factorization
+        basis = Echelon(u_rows, 2 * n)
         self.gen_masks = []
         for g in st.gen_vectors:
-            mask = solve(u_rows, g, 2 * n)
+            mask = basis.solve(g)
             if mask is None:
                 raise ValidationError("quotient unsound: term outside span of C(S) basis")
             self.gen_masks.append(mask)

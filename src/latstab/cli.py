@@ -174,14 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"latstab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, code=True):
+    def common(p, code=True, budgets=False):
         p.add_argument("--out", help="write the JSON report here (default: stdout)")
-        p.add_argument("--weight-cap", type=int, default=None,
-                       help="brute-force weight cap (default 6)")
-        p.add_argument("--node-cap", type=int, default=None,
-                       help="coset-node cap for exact barriers (default 2^24)")
-        p.add_argument("--mem-budget", type=int, default=None,
-                       help="memory budget in MiB for the transfer DP (default 4096)")
+        if budgets:
+            p.add_argument("--weight-cap", type=int, default=None,
+                           help="brute-force weight cap (default 6)")
+            p.add_argument("--node-cap", type=int, default=None,
+                           help="coset-node cap for exact barriers (default 2^24)")
+            p.add_argument("--mem-budget", type=int, default=None,
+                           help="memory budget in MiB for the transfer DP (default 4096)")
         if code:
             p.add_argument("--code", required=True, help="code file")
 
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("distance", help="exact code distance")
-    common(p)
+    common(p, budgets=True)
     p.add_argument("--mode", choices=["stabilizer", "subsystem", "bare"],
                    default="subsystem")
     p.add_argument("--method", choices=["auto", "dp", "bruteforce"], default="auto")
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=int, default=0)
 
     p = sub.add_parser("barrier", help="energy barrier (exact or walk bound)")
-    common(p)
+    common(p, budgets=True)
     p.add_argument("--method", choices=["exact", "walk"], default="exact")
     p.add_argument("--schedule", choices=["row_by_row", "arbitrary"],
                    default="row_by_row")
@@ -229,16 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=int, default=0)
 
     p = sub.add_parser("restrict-audit", help="restriction dichotomy and distance bound")
-    common(p)
+    common(p, budgets=True)
     p.add_argument("--box", help="half-open region box")
     p.add_argument("--sites", help="explicit site list")
 
     p = sub.add_parser("min-block", help="minimal contiguous block with a logical qubit")
-    common(p)
+    common(p, budgets=True)
     p.add_argument("--axis", type=int, default=0)
 
     p = sub.add_parser("audit", help="audit a family across sizes")
-    common(p, code=False)
+    common(p, code=False, budgets=True)
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--L", required=True, help="sizes: '2..4' or '2,3,4'")
     p.add_argument("--D", type=int, default=None)

@@ -133,8 +133,7 @@ class CodeSpec:
     def bounding_extent(self, op: PauliOp, axis: int) -> int:
         """Minimal contiguous (cyclic if periodic) axis window covering the
         support's anchor vertices; 0 for the identity by convention."""
-        if not 0 <= axis < self.lattice.D:
-            raise DimensionError(f"axis {axis} outside 0..{self.lattice.D - 1}")
+        self.lattice.check_axis(axis)
         values = [self._anchors[q][axis] for q in op.support()]
         return min_window(self.lattice.L, self.lattice.periodic, values)
 

@@ -43,6 +43,10 @@ class Lattice:
     def n_sites(self) -> int:
         return self.L**self.D
 
+    def check_axis(self, axis: int) -> None:
+        if not 0 <= axis < self.D:
+            raise DimensionError(f"axis {axis} outside 0..{self.D - 1}")
+
     def site_index(self, coords: Sequence[int]) -> int:
         if len(coords) != self.D:
             raise DimensionError(f"expected {self.D} coordinates, got {len(coords)}")
@@ -189,8 +193,7 @@ def boundary_shell(region: Region, r: int) -> Region:
 
 def axis_window_region(lattice: Lattice, axis: int, start: int, width: int) -> Region:
     """All sites whose axis coordinate lies in the (cyclic) window [start, start+width)."""
-    if not 0 <= axis < lattice.D:
-        raise DimensionError(f"axis {axis} outside 0..{lattice.D - 1}")
+    lattice.check_axis(axis)
     cols = {(start + i) % lattice.L if lattice.periodic else start + i for i in range(width)}
     if not lattice.periodic and any(c >= lattice.L or c < 0 for c in cols):
         raise RegionError("window extends beyond an open boundary")
@@ -223,8 +226,7 @@ def strip_widths(L: int, r: int) -> List[int]:
 def strip_partition(lattice: Lattice, r: int, axis: int = 0) -> List[Region]:
     """Disjoint cover of the lattice by contiguous axis-aligned strips of
     width r or r-1, an even number of them, in order along the axis."""
-    if not 0 <= axis < lattice.D:
-        raise DimensionError(f"axis {axis} outside 0..{lattice.D - 1}")
+    lattice.check_axis(axis)
     widths = strip_widths(lattice.L, r)
     strips = []
     start = 0

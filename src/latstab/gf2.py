@@ -1,8 +1,12 @@
-"""GF(2) linear algebra on int bitsets (bit i = column i, little-endian)."""
+"""GF(2) linear algebra on int bitsets (bit i = column i, little-endian).
+
+Every elimination runs through one kernel, `Echelon`, so every result below
+follows one pivot convention and is fixed by the order of the input rows.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def parity(x: int) -> int:
@@ -23,23 +27,104 @@ def pairings(v: int, rows: Sequence[int]) -> int:
     return out
 
 
+def combine(mask: int, rows: Sequence[int]) -> int:
+    """XOR of rows[i] over the set bits i of mask."""
+    v = 0
+    while mask:
+        v ^= rows[low_bit(mask)]
+        mask &= mask - 1
+    return v
+
+
+def gather(v: int, cols: int) -> int:
+    """The bits of v at the set bits of cols, packed: bit j of the result is
+    v's bit at the j-th lowest set bit of cols."""
+    out = 0
+    v &= cols
+    while v:
+        low = v & -v
+        out |= 1 << (cols & (low - 1)).bit_count()
+        v ^= low
+    return out
+
+
+def scatter(v: int, cols: int) -> int:
+    """The inverse of gather: bit j of v goes to the j-th lowest set bit of cols."""
+    out = 0
+    while v:
+        low = cols & -cols
+        if v & 1:
+            out |= low
+        v >>= 1
+        cols ^= low
+    return out
+
+
+def _reduce(r: int, pivot_rows: Iterable[Tuple[int, int]]) -> int:
+    for p, q in pivot_rows:
+        if (r >> p) & 1:
+            r ^= q
+    return r
+
+
+class Echelon:
+    """Fully reduced row echelon form, grown one row at a time.
+
+    A row's pivot is its lowest set data bit: any bit when ``ncols`` is None,
+    else a bit below ``ncols``.  With ``ncols`` given, the i-th added row is
+    cut to its data bits and tagged with bit ``ncols + i``: ``solve`` reads
+    coefficients off the tags, and each added row that reduces to zero leaves
+    its tag, a dependency among the added rows, in ``kernel``.
+    """
+
+    __slots__ = ("ncols", "data_mask", "piv2row", "kernel")
+
+    def __init__(self, rows: Iterable[int] = (), ncols: Optional[int] = None):
+        self.ncols = ncols
+        self.data_mask = -1 if ncols is None else (1 << ncols) - 1
+        self.piv2row: Dict[int, int] = {}
+        self.kernel: List[int] = []
+        self.extend(rows)
+
+    def extend(self, rows: Iterable[int]) -> int:
+        """Insert the rows in order; returns how many were independent of the
+        rows before them."""
+        piv2row, kernel, ncols, data_mask = self.piv2row, self.kernel, self.ncols, self.data_mask
+        independent = 0
+        for r in rows:
+            if ncols is not None:
+                # every added row is stored or left in the kernel
+                r = (r & data_mask) | (1 << (ncols + len(piv2row) + len(kernel)))
+            r = _reduce(r, piv2row.items())
+            data = r & data_mask
+            if not data:
+                if ncols is not None:
+                    kernel.append(r >> ncols)
+                continue
+            pv = low_bit(data)
+            for p, q in piv2row.items():
+                if (q >> pv) & 1:
+                    piv2row[p] = q ^ r
+            piv2row[pv] = r
+            independent += 1
+        return independent
+
+    def solve(self, target: int) -> Optional[int]:
+        """Coefficient mask c with XOR of the added rows selected by c equal to
+        target (needs ``ncols``), or None when target is outside the span."""
+        t = _reduce(target, self.piv2row.items())
+        if t & self.data_mask:
+            return None
+        return t >> self.ncols
+
+
 def rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:
     """Reduced row echelon form; returns (rows, pivot columns), both pivot-sorted.
 
     Pivots are taken in ascending column order (bit 0 first), which fixes the
     deterministic echelon convention used throughout the package.
     """
-    piv2row = {}
-    for r in rows:
-        for p, q in piv2row.items():
-            if (r >> p) & 1:
-                r ^= q
-        if r:
-            pv = low_bit(r)
-            for p in piv2row:
-                if (piv2row[p] >> pv) & 1:
-                    piv2row[p] ^= r
-            piv2row[pv] = r
+    piv2row = Echelon(rows).piv2row
     pivots = sorted(piv2row)
     return [piv2row[p] for p in pivots], pivots
 
@@ -48,61 +133,23 @@ def rank(rows: Iterable[int]) -> int:
     return len(rref(rows)[0])
 
 
-def reduce_row(r: int, rref_rows: List[int], pivots: List[int]) -> int:
-    for row, p in zip(rref_rows, pivots):
-        if (r >> p) & 1:
-            r ^= row
-    return r
-
-
 def in_span(r: int, rref_rows: List[int], pivots: List[int]) -> bool:
-    return reduce_row(r, rref_rows, pivots) == 0
-
-
-def _augmented_rref(rows: List[int], ncols: int):
-    """RREF of rows augmented with identity coefficient bits above ncols.
-
-    Returns (piv2row, kernel_masks); data parts stay fully reduced so a single
-    elimination pass over the result is order-independent.
-    """
-    mask = (1 << ncols) - 1
-    piv2row = {}
-    kernel = []
-    for i, r in enumerate(rows):
-        a = (r & mask) | (1 << (ncols + i))
-        for p, q in piv2row.items():
-            if (a >> p) & 1:
-                a ^= q
-        if a & mask:
-            pv = low_bit(a & mask)
-            for p in piv2row:
-                if (piv2row[p] >> pv) & 1:
-                    piv2row[p] ^= a
-            piv2row[pv] = a
-        else:
-            kernel.append(a >> ncols)
-    return piv2row, kernel
+    return _reduce(r, zip(pivots, rref_rows)) == 0
 
 
 def solve(rows: List[int], target: int, ncols: int) -> Optional[int]:
     """Coefficient mask c with XOR of rows[i] over set bits of c == target.
 
     Rows may be dependent; returns the solution picked by the deterministic
-    echelon order, or None when target is outside the span.
+    echelon order, or None when target is outside the span.  To solve many
+    targets against the same rows, factor once with ``Echelon(rows, ncols)``.
     """
-    piv2row, _ = _augmented_rref(rows, ncols)
-    t = target
-    for p, q in piv2row.items():
-        if (t >> p) & 1:
-            t ^= q
-    if t & ((1 << ncols) - 1):
-        return None
-    return t >> ncols
+    return Echelon(rows, ncols).solve(target)
 
 
 def left_kernel(rows: List[int], ncols: int) -> List[int]:
     """Basis of coefficient masks c with XOR of rows selected by c == 0."""
-    return _augmented_rref(rows, ncols)[1]
+    return Echelon(rows, ncols).kernel
 
 
 def nullspace(rows: List[int], ncols: int) -> List[int]:
@@ -123,34 +170,12 @@ def nullspace(rows: List[int], ncols: int) -> List[int]:
 
 def intersect_spans(rows_a: List[int], rows_b: List[int], ncols: int) -> List[int]:
     """RREF basis of span(rows_a) ∩ span(rows_b)."""
-    stacked = list(rows_a) + list(rows_b)
-    na = len(rows_a)
-    out = []
-    for mask in left_kernel(stacked, ncols):
-        v = 0
-        for i in range(na):
-            if (mask >> i) & 1:
-                v ^= rows_a[i]
-        if v:
-            out.append(v)
-    return rref(out)[0]
+    low = (1 << len(rows_a)) - 1
+    kernel = left_kernel(list(rows_a) + list(rows_b), ncols)
+    return rref(combine(mask & low, rows_a) for mask in kernel)[0]
 
 
 def extend_basis(base_rows: Iterable[int], candidates: Iterable[int]) -> List[int]:
     """Greedy independent extension: candidates (in order) independent of base."""
-    red, pivots = rref(base_rows)
-    piv2row = dict(zip(pivots, red))
-    added = []
-    for c in candidates:
-        r = c
-        for p, q in piv2row.items():
-            if (r >> p) & 1:
-                r ^= q
-        if r:
-            pv = low_bit(r)
-            for p in piv2row:
-                if (piv2row[p] >> pv) & 1:
-                    piv2row[p] ^= r
-            piv2row[pv] = r
-            added.append(c)
-    return added
+    ech = Echelon(base_rows)
+    return [c for c in candidates if ech.extend((c,))]

@@ -92,14 +92,7 @@ def contained_subgroup(basis: GroupBasis, qubit_mask: int) -> GroupBasis:
     n = basis.n
     out_mask = ~(qubit_mask | (qubit_mask << n))
     outside = [r & out_mask for r in basis.rows]
-    rows = []
-    for coeff in gf2.left_kernel(outside, 2 * n):
-        v = 0
-        for i in range(basis.rank):
-            if (coeff >> i) & 1:
-                v ^= basis.rows[i]
-        if v:
-            rows.append(v)
+    rows = [gf2.combine(coeff, basis.rows) for coeff in gf2.left_kernel(outside, 2 * n)]
     return GroupBasis(n, gf2.rref(rows)[0])
 
 

@@ -24,11 +24,10 @@ from .config import DEFAULT_BUDGETS, Budgets
 from .errors import (
     CapacityError,
     ContractViolation,
-    DimensionError,
     ValidationError,
     certify,
 )
-from .gf2 import nullspace, pairings, parity
+from .gf2 import gather, nullspace, pairings, parity, scatter
 from .groups import CodeStructure, get_structure
 from .pauli import PauliOp
 
@@ -207,12 +206,11 @@ def distance_dp(
 
     st = get_structure(code)
     st.check_mode(mode)
+    code.lattice.check_axis(axis)
     if st.k == 0:
         return DistanceResult(None, "no_logicals", mode, "dp")
     targets = st.target_bits(class_mask)
     n = code.n
-    if not 0 <= axis < code.lattice.D:
-        raise DimensionError(f"axis {axis} outside 0..{code.lattice.D - 1}")
     order = sorted(range(n), key=lambda q: (code.anchor(q)[axis], code.anchor(q), q))
     pos_of = {q: p for p, q in enumerate(order)}
     det_rows = [r for r in _detector_rows(st, mode) if r]
@@ -328,9 +326,11 @@ def distance(
 ) -> DistanceResult:
     """Exact distance by the transfer DP ("dp"), weight-ordered enumeration
     ("bruteforce"), or the DP with enumeration as fallback when the DP front
-    exceeds its capacity ("auto"); every other error propagates."""
+    exceeds its capacity ("auto"); every other error propagates.  An axis
+    the lattice lacks is a DimensionError for every method, even with k = 0."""
     if method not in ("auto", "dp", "bruteforce"):
         raise ValidationError(f"unknown distance method {method!r}")
+    code.lattice.check_axis(axis)
     if method != "bruteforce":
         try:
             return distance_dp(code, axis=axis, mode=mode, budgets=budgets)
@@ -347,21 +347,9 @@ def distance(
 def _window_logical_vectors(st: CodeStructure, qubit_mask: int, mode: str) -> List[int]:
     """Basis vectors supported on the masked qubits commuting with the mode's
     detector rows (stabilizer group or whole gauge group)."""
-    n = st.n
-    det_rows = _detector_rows(st, mode)
-    qubits = [q for q in range(n) if (qubit_mask >> q) & 1]
-    cols = [q for q in qubits] + [n + q for q in qubits]
-    comp = []
-    for row in det_rows:
-        comp.append(sum(((row >> c) & 1) << j for j, c in enumerate(cols)))
-    out = []
-    for v in nullspace(comp, len(cols)):
-        lifted = 0
-        for j, c in enumerate(cols):
-            if (v >> j) & 1:
-                lifted |= 1 << c
-        out.append(lifted)
-    return out
+    cols = qubit_mask | (qubit_mask << st.n)
+    comp = [gather(row, cols) for row in _detector_rows(st, mode)]
+    return [scatter(v, cols) for v in nullspace(comp, cols.bit_count())]
 
 
 @dataclass(frozen=True)
@@ -389,6 +377,7 @@ def linear_distance(
 
     st = get_structure(code)
     st.check_mode(mode)
+    code.lattice.check_axis(axis)
     if st.k == 0:
         return LinearDistanceResult(None, "no_logicals", mode, axis)
     st.target_bits(class_mask)  # reject an empty mask before the scan

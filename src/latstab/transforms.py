@@ -23,7 +23,7 @@ from .errors import (
     certify,
 )
 from .geometry import Region, axis_window_region, boundary_shell, strip_partition
-from .gf2 import solve
+from .gf2 import combine, gather, solve
 from .groups import CosetReducer, contained_subgroup, get_structure
 from .metrics import _window_logical_vectors, distance, linear_distance
 from .pauli import PauliOp
@@ -80,16 +80,12 @@ def clean_stabilizer(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult
     if restricted.is_identity:
         return CleanResult("cleaned", PauliOp.identity(code.n), op)
     overlapping = [a for a, g in enumerate(code.generators) if g.support_mask() & mask]
+    vectors = [code.generators[a].vector for a in overlapping]
     m2 = mask | (mask << code.n)
-    rows = [code.generators[a].vector & m2 for a in overlapping]
-    coeff = solve(rows, restricted.vector, 2 * code.n)
+    coeff = solve([v & m2 for v in vectors], restricted.vector, 2 * code.n)
     if coeff is not None:
-        mult = PauliOp.identity(code.n)
-        used = []
-        for i, a in enumerate(overlapping):
-            if (coeff >> i) & 1:
-                mult = mult.mul(code.generators[a])
-                used.append(a)
+        used = [a for i, a in enumerate(overlapping) if (coeff >> i) & 1]
+        mult = PauliOp.from_vector(code.n, combine(coeff, vectors))
         return _cleaned(st, op, mult, mask, used)
     return _trapped(code, mask, "S")
 
@@ -105,14 +101,9 @@ def clean_subsystem(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
     if restricted.is_identity:
         return CleanResult("cleaned", PauliOp.identity(code.n), op)
     m2 = mask | (mask << code.n)
-    rows = [r & m2 for r in st.S.rows]
-    coeff = solve(rows, restricted.vector, 2 * code.n)
+    coeff = solve([r & m2 for r in st.S.rows], restricted.vector, 2 * code.n)
     if coeff is not None:
-        v = 0
-        for i in range(len(rows)):
-            if (coeff >> i) & 1:
-                v ^= st.S.rows[i]
-        return _cleaned(st, op, PauliOp.from_vector(code.n, v), mask)
+        return _cleaned(st, op, PauliOp.from_vector(code.n, combine(coeff, st.S.rows)), mask)
     return _trapped(code, mask, "G")
 
 
@@ -226,15 +217,11 @@ def compress_qubits(code: CodeSpec, qubit_mask: int, name: str) -> CodeSpec:
     """Code on the masked qubits only, generated by the restrictions of the
     declared generators (duplicates and identities dropped)."""
     qubits = [q for q in range(code.n) if (qubit_mask >> q) & 1]
-    remap = {q: i for i, q in enumerate(qubits)}
     cells = [code.qubit_cells[q] for q in qubits]
     gens = []
     seen = set()
     for g in code.generators:
-        x = z = 0
-        for q in qubits:
-            x |= ((g.x >> q) & 1) << remap[q]
-            z |= ((g.z >> q) & 1) << remap[q]
+        x, z = gather(g.x, qubit_mask), gather(g.z, qubit_mask)
         if x == 0 and z == 0 or (x, z) in seen:
             continue
         seen.add((x, z))

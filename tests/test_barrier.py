@@ -120,6 +120,14 @@ def test_audit_records_node_cap_skip():
     assert "barrier_naive_walk" not in rec.metrics
 
 
+def test_audit_names_label_width_skip():
+    # 2^65 nodes fit a node cap of 2^80, but not the search's 64-bit labels
+    rec = audit_instance("repetition", make_repetition_1d(64), {"L": 64},
+                         Budgets(node_cap=2**80))
+    assert {"what": "barrier_exact",
+            "reason": "coset graph 2^65 needs 65-bit labels; the search holds 64"} in rec.skipped
+
+
 def test_no_logicals_result():
     from latstab import CodeSpec, Lattice
 

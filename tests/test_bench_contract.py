@@ -6,6 +6,7 @@ show up as a broken `perfbench/run.py --trace 1` or a failed pass.  The
 harness modules are plain data and are loaded here by path, unchanged.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -54,3 +55,20 @@ def test_traced_method_exists():
 def test_workload_families_exist():
     used = [family for family, _ in workloads.AUDIT_FAMILIES + workloads.STRUCTURE_CODES]
     assert set(used) <= set(FAMILIES)
+
+
+@pytest.mark.parametrize("path", [Path(__file__).resolve().parent / "conftest.py",
+                                  PERFBENCH / "checks.py"], ids=["conftest", "checks"])
+def test_oracles_import_only_parity_from_gf2(path):
+    """The oracles check the elimination kernel, so they must not run on it."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("latstab.gf2", "gf2"):
+            assert [a.name for a in node.names] == ["parity"], ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and node.module == "latstab":
+            assert "gf2" not in [a.name for a in node.names], ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("latstab.gf2") for a in node.names), ast.unparse(node)
+        elif isinstance(node, ast.Attribute) and node.attr == "gf2":
+            raise AssertionError(f"{path.name} reaches latstab.gf2 by attribute: "
+                                 f"{ast.unparse(node)}")

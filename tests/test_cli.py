@@ -9,7 +9,8 @@ import latstab
 
 from latstab.cli import main
 
-from latstab import make_bacon_shor_2d, make_toric_2d, serialize_code
+from latstab import (CodeSpec, Lattice, PauliOp, make_bacon_shor_2d, make_toric_2d,
+                     serialize_code)
 
 
 @pytest.fixture
@@ -253,6 +254,34 @@ def test_family_arguments_taken(capsys):
     assert rc == 0 and text.startswith("lattice D=1 L=3 boundary=periodic")
     rc, text = run(capsys, "zoo", "generalized_toric", "--L", "2", "--D", "2")
     assert rc == 0 and text.startswith("lattice D=2 ")
+
+
+@pytest.mark.parametrize("command", ["distance", "lindist"])
+def test_axis_outside_lattice_on_no_logicals_code_exit_1(tmp_path, capsys, command):
+    path = tmp_path / "k0.code"
+    path.write_text(serialize_code(CodeSpec("fixed", Lattice(1, 2), "stabilizer", 2,
+                                            [PauliOp.single(2, 0, "Z"),
+                                             PauliOp.single(2, 1, "Z")])))
+    rc, text = run(capsys, command, "--code", str(path))
+    assert rc == 0 and json.loads(text)["result"]["status"] == "no_logicals"
+    assert main([command, "--code", str(path), "--axis", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: axis 7 outside 0..0")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("validate", []),
+    ("lindist", []),
+    ("clean", ["--op", "Z(0,0)", "--box", "0:1,0:1"]),
+    ("sweep", []),
+])
+@pytest.mark.parametrize("flag", ["--weight-cap", "--node-cap", "--mem-budget"])
+def test_budget_flags_only_where_read(bs3_file, capsys, command, extra, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--code", bs3_file, *extra, flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def test_budget_env_overrides_cli_default(bs3_file, monkeypatch, capsys):

@@ -17,7 +17,7 @@ from latstab import (
     make_surface_2d,
     make_toric_2d,
 )
-from latstab.errors import ContractViolation, ValidationError
+from latstab.errors import ContractViolation, DimensionError, ValidationError
 from latstab.metrics import WalkTrace
 
 from conftest import brute_min_weight, run_optimized
@@ -107,6 +107,22 @@ def test_dp_axis_symmetry():
 
 def test_dp_repetition_large_fast():
     assert distance_dp(make_repetition_1d(100)).value == 1
+
+
+@pytest.mark.parametrize("engine", [
+    lambda code, axis: distance(code, axis=axis),
+    lambda code, axis: distance(code, axis=axis, method="bruteforce"),
+    lambda code, axis: distance_dp(code, axis=axis),
+    lambda code, axis: linear_distance(code, axis=axis),
+], ids=["distance", "distance_bruteforce", "distance_dp", "linear_distance"])
+def test_axis_checked_before_no_logicals(engine):
+    from latstab import CodeSpec, Lattice
+
+    code = CodeSpec("fixed", Lattice(1, 2), "stabilizer", 2,
+                    [PauliOp.single(2, 0, "Z"), PauliOp.single(2, 1, "Z")])
+    assert engine(code, 0).status == "no_logicals"
+    with pytest.raises(DimensionError, match="axis 7 outside 0..0"):
+        engine(code, 7)
 
 
 def test_linear_distance_examples():
