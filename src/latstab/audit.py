@@ -17,7 +17,6 @@ from .barrier import barrier_exact
 from .codes import STABILIZER, CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import CapacityError, LatstabError, PreconditionError, ValidationError
-from .geometry import min_window
 from .groups import get_structure
 from .metrics import barrier_walk_bound, distance, linear_distance
 from .transforms import minimal_block_search, strip_sweep
@@ -62,16 +61,8 @@ def _center_is_local(code: CodeSpec) -> bool:
     nonlocal basis row does not prove nonlocality in general, but for the
     audit this conservative test only widens the bound that gets checked.
     """
-    st = get_structure(code)
-    lat = code.lattice
-    for row in st.S.rows:
-        n = code.n
-        support = [q for q in range(n) if ((row | (row >> n)) >> q) & 1]
-        for axis in range(lat.D):
-            vals = [code.anchor(q)[axis] for q in support]
-            if min_window(lat.L, lat.periodic, vals) > code.declared_r:
-                return False
-    return True
+    return all(code.support_extent(op.support()) <= code.declared_r
+               for op in get_structure(code).S.ops())
 
 
 def audit_instance(family: str, code: CodeSpec, params: Dict,

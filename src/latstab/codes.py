@@ -156,22 +156,19 @@ class CodeSpec:
                         )
         self.validate_locality()
 
-    def generator_extent(self, index: int) -> int:
-        """Side of the minimal axis-aligned anchor hypercube covering the generator."""
-        g = self.generators[index]
-        support = g.support()
-        side = 0
-        for axis in range(self.lattice.D):
-            values = [self._anchors[q][axis] for q in support]
-            side = max(side, min_window(self.lattice.L, self.lattice.periodic, values))
-        return side
+    def support_extent(self, qubits: Sequence[int]) -> int:
+        """Side of the minimal axis-aligned (cyclic if periodic) anchor
+        hypercube covering the qubits; 0 for none."""
+        lat = self.lattice
+        return max(min_window(lat.L, lat.periodic, [self._anchors[q][axis] for q in qubits])
+                   for axis in range(lat.D))
 
     def validate_locality(self) -> Tuple[int, int]:
         """(r_actual, max_participation); raises when a generator exceeds declared_r."""
         r_actual = 0
         worst = None
-        for i in range(len(self.generators)):
-            side = self.generator_extent(i)
+        for i, g in enumerate(self.generators):
+            side = self.support_extent(g.support())
             if side > r_actual:
                 r_actual, worst = side, i
         participation = [0] * self.n

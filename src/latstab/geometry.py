@@ -204,6 +204,17 @@ def axis_window_region(lattice: Lattice, axis: int, start: int, width: int) -> R
     return Region(lattice, mask)
 
 
+def axis_windows(lattice: Lattice, axis: int) -> Iterator[Tuple[int, int, Region]]:
+    """Every axis window as (width, start, region), by width and then start:
+    cyclic placements on a periodic lattice, in-bounds ones on an open one."""
+    lattice.check_axis(axis)
+    L = lattice.L
+    for width in range(1, L + 1):
+        starts = range(L) if lattice.periodic and width < L else range(L - width + 1)
+        for start in starts:
+            yield width, start, axis_window_region(lattice, axis, start, width)
+
+
 def strip_widths(L: int, r: int) -> List[int]:
     """Widths of a strip cover of {0..L-1}: a widths of r-1 and b of r with
     a+b even, maximizing the number of width-r strips, wide strips first."""

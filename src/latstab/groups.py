@@ -87,6 +87,18 @@ def restrict_group(basis: GroupBasis, qubit_mask: int) -> GroupBasis:
     return GroupBasis(basis.n, [r & m2 for r in basis.rows])
 
 
+def _restricted_k(basis: GroupBasis, qubit_mask: int) -> int:
+    """k_M of the gauge code on the masked qubits generated by the rows'
+    restrictions R: n_M - rank(R) + rank(Gram(R))/2.  Restriction is a
+    homomorphism, so R spans the restricted group; its center has rank
+    rank(R) - rank(Gram) and it has rank(Gram)/2 gauge pairs."""
+    n = basis.n
+    m2 = qubit_mask | (qubit_mask << n)
+    rows = [v for v in (r & m2 for r in basis.rows) if v]
+    gram = [gf2.pairings(omega(r, n), rows) for r in rows]
+    return qubit_mask.bit_count() - gf2.rank(rows) + gf2.rank(gram) // 2
+
+
 def contained_subgroup(basis: GroupBasis, qubit_mask: int) -> GroupBasis:
     """Subgroup of span elements whose support lies inside the masked qubits."""
     n = basis.n

@@ -16,7 +16,8 @@ gauge-qubit distance/barrier, so gauge-qubit modes are expressed as masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .codes import STABILIZER, CodeSpec
@@ -27,6 +28,7 @@ from .errors import (
     ValidationError,
     certify,
 )
+from .geometry import axis_windows
 from .gf2 import gather, nullspace, pairings, parity, scatter
 from .groups import CodeStructure, get_structure
 from .pauli import PauliOp
@@ -373,20 +375,15 @@ def linear_distance(
     logicals are read off a nullspace computation, so the scan is exact with
     no weight enumeration.
     """
-    from .geometry import axis_window_region
-
     st = get_structure(code)
     st.check_mode(mode)
     code.lattice.check_axis(axis)
     if st.k == 0:
         return LinearDistanceResult(None, "no_logicals", mode, axis)
     st.target_bits(class_mask)  # reject an empty mask before the scan
-    lat = code.lattice
-    for width in range(1, lat.L + 1):
-        starts = range(lat.L) if lat.periodic and width < lat.L else range(lat.L - width + 1)
+    for width, windows in groupby(axis_windows(code.lattice, axis), key=itemgetter(0)):
         hits = []
-        for start in starts:
-            region = axis_window_region(lat, axis, start, width)
+        for _, _, region in windows:
             mask = code.qubit_mask_in(region)
             for v in _window_logical_vectors(st, mask, mode):
                 if st.is_logical_vec(v, mode, class_mask):

@@ -1,15 +1,21 @@
 """Constructive lemma-level procedures: cleaning, strip sweep, restriction
 audit, and the 1D/strip minimal-block search.
 
+Each procedure has one path for every code: the sweep cleans the union of its
+even strips in one solve per start logical, and the restriction audit and the
+block scan count k_M from the parent's gauge rows (groups._restricted_k),
+building a restricted code only when k_M > 0.
+
 Every outcome is machine-checked before it is returned: cleaned results
 verify triviality on the region and membership of the multiplier, trapped and
 sweep witnesses verify containment, centralizer membership and a nonzero
-logical class.
+logical class, and a restricted code's own k must equal the counted k_M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, reduce
 from typing import List, Optional, Tuple
 
 from .codes import GAUGE, STABILIZER, CodeSpec
@@ -22,9 +28,9 @@ from .errors import (
     PreconditionError,
     certify,
 )
-from .geometry import Region, axis_window_region, boundary_shell, strip_partition
+from .geometry import Region, axis_windows, boundary_shell, strip_partition
 from .gf2 import combine, gather, solve
-from .groups import CosetReducer, contained_subgroup, get_structure
+from .groups import CosetReducer, _restricted_k, contained_subgroup, get_structure
 from .metrics import _window_logical_vectors, distance, linear_distance
 from .pauli import PauliOp
 
@@ -45,15 +51,14 @@ def _cleaned(st, op: PauliOp, mult: PauliOp, mask: int, used=()) -> CleanResult:
     return CleanResult("cleaned", mult, cleaned, generator_indices=tuple(used))
 
 
-def _trapped(code: CodeSpec, mask: int, exclude: str) -> CleanResult:
+def _trapped(code: CodeSpec, mask: int) -> CleanResult:
     """The lowest-(weight, vector) operator supported in the mask that commutes
-    with the stabilizer group but lies outside S (exclude='S') or G ('G'),
-    which must exist when the cleaning is unsolvable."""
+    with the stabilizer group but lies outside G (which is S for a stabilizer
+    code), which must exist when the cleaning is unsolvable."""
     st = get_structure(code)
-    basis = st.S if exclude == "S" else st.G
     cands = []
     for v in _window_logical_vectors(st, mask, "subsystem"):
-        if not basis.contains_vec(v):
+        if not st.G.contains_vec(v):
             op = PauliOp.from_vector(code.n, v)
             cands.append((op.weight(), v, op))
     certify(bool(cands), "unsolvable cleaning must leave a trapped logical")
@@ -87,7 +92,7 @@ def clean_stabilizer(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult
         used = [a for i, a in enumerate(overlapping) if (coeff >> i) & 1]
         mult = PauliOp.from_vector(code.n, combine(coeff, vectors))
         return _cleaned(st, op, mult, mask, used)
-    return _trapped(code, mask, "S")
+    return _trapped(code, mask)
 
 
 def clean_subsystem(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
@@ -104,7 +109,7 @@ def clean_subsystem(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
     coeff = solve([r & m2 for r in st.S.rows], restricted.vector, 2 * code.n)
     if coeff is not None:
         return _cleaned(st, op, PauliOp.from_vector(code.n, combine(coeff, st.S.rows)), mask)
-    return _trapped(code, mask, "G")
+    return _trapped(code, mask)
 
 
 @dataclass(frozen=True)
@@ -117,24 +122,20 @@ class SweepResult:
     class_bits: int
 
 
-def _reduce_in_window(code: CodeSpec, op: PauliOp, mask: int) -> PauliOp:
-    """Minimum-weight representative of op modulo gauge elements contained in
-    the window (class and centralizer membership are preserved)."""
-    st = get_structure(code)
-    inside = contained_subgroup(st.G, mask)
-    return PauliOp.from_vector(code.n, CosetReducer(inside.rows, code.n)(op.vector))
-
-
 def strip_sweep(code: CodeSpec, axis: int = 0) -> SweepResult:
     """Produce a certified nontrivial logical with axis extent at most r by
     cleaning alternating strips and splitting the survivor across the others.
 
-    Stabilizer codes clean strip by strip (each generator meets at most one
-    cleaned strip, so later solves cannot recontaminate earlier ones); gauge
-    codes clean all even strips in one joint solve over the center, then split
-    using locality of the gauge generators.  Candidates from every starting
-    logical are certified mechanically; the best (extent, weight, vector) wins.
-    If nothing certifies, an exact minimal-window scan supplies the witness.
+    Every code cleans the union of the even strips in one solve over the
+    stabilizer group (clean_subsystem), then splits the survivor across the
+    odd strips.  For a stabilizer code S is the span of the generators, so
+    this is the paper's cleaning of the even-strip union: a generator spans at
+    most r columns and an odd strip is at least r-1 wide, so no generator
+    meets two even strips, and the joint solve succeeds exactly when
+    strip-by-strip cleaning does.  Candidates from every
+    starting logical are certified mechanically; the best (extent, weight,
+    vector) wins.  If nothing certifies, an exact minimal-window scan supplies
+    the witness.
     """
     st = get_structure(code)
     if st.k == 0:
@@ -146,45 +147,33 @@ def strip_sweep(code: CodeSpec, axis: int = 0) -> SweepResult:
         )
     strips = strip_partition(code.lattice, r, axis)
     widths = tuple(s_.size // code.lattice.L ** (code.lattice.D - 1) for s_ in strips)
-    odd_strips = strips[0::2]
-    even_strips = strips[1::2]
+    even_union = reduce(Region.union, strips[1::2])
     candidates: List[Tuple[int, int, int, PauliOp, str]] = []
+
+    @cache  # every start logical reuses the odd strips and the even union
+    def gauge_inside(window_mask: int) -> Tuple[int, ...]:
+        return contained_subgroup(st.G, window_mask).rows
 
     def consider(op: PauliOp, window_mask: int, method: str):
         if op.is_identity:
             return
-        reduced = _reduce_in_window(code, op, window_mask)
+        # minimum-weight representative modulo the gauge elements inside the
+        # window, which keeps the class and centralizer membership
+        reducer = CosetReducer(gauge_inside(window_mask), code.n)
+        reduced = PauliOp.from_vector(code.n, reducer(op.vector))
         if reduced.is_identity or not st.is_logical(reduced, "subsystem"):
             return
         extent = code.bounding_extent(reduced, axis)
         candidates.append((extent, reduced.weight(), reduced.vector, reduced, method))
 
-    start_ops = [p for pair in st.logicals.pairs for p in pair]
-    for start in start_ops:
-        if code.role == STABILIZER:
-            cur = start
-            trapped = None
-            for strip in even_strips:
-                res = clean_stabilizer(code, cur, strip)
-                if res.outcome == "trapped_logical":
-                    trapped = res.trapped
-                    break
-                cur = res.cleaned
-            if trapped is not None:
-                consider(trapped, code.qubit_mask_in(strip), "strip_sweep_trapped")
-                continue
-        else:
-            even_union = Region.empty(code.lattice)
-            for strip in even_strips:
-                even_union = even_union.union(strip)
-            res = clean_subsystem(code, start, even_union)
-            if res.outcome == "trapped_logical":
-                consider(res.trapped, code.qubit_mask_in(even_union), "strip_sweep_trapped")
-                continue
-            cur = res.cleaned
-        for strip in odd_strips:
+    for start in (p for pair in st.logicals.pairs for p in pair):
+        res = clean_subsystem(code, start, even_union)
+        if res.outcome == "trapped_logical":
+            consider(res.trapped, code.qubit_mask_in(even_union), "strip_sweep_trapped")
+            continue
+        for strip in strips[0::2]:
             mask = code.qubit_mask_in(strip)
-            consider(cur.restrict(mask), mask, "strip_sweep")
+            consider(res.cleaned.restrict(mask), mask, "strip_sweep")
     candidates = [c for c in candidates if c[0] <= r]
     if candidates:
         candidates.sort(key=lambda c: (c[0], c[1], c[2]))
@@ -254,22 +243,20 @@ def restriction_audit(
     """Check the restriction dichotomy: the restricted code has no logical
     qubits, or its distance is at least d minus the qubits in the r-shell."""
     mask = code.qubit_mask_in(region)
-    if mask == 0:
-        return RestrictionAuditResult("no_logicals", 0, None, original_distance, 0, True, 0)
-    sub = compress_qubits(code, mask, f"{code.name}|restricted")
-    sub_st = get_structure(sub)
-    shell = boundary_shell(region, code.declared_r)
-    shell_qubits = code.qubit_mask_in(shell).bit_count()
-    if sub_st.k == 0:
+    shell_qubits = code.qubit_mask_in(boundary_shell(region, code.declared_r)).bit_count()
+    k_M = _restricted_k(get_structure(code).G, mask)
+    if k_M == 0:
         return RestrictionAuditResult(
             "no_logicals", 0, None, original_distance, shell_qubits, True, region.size
         )
+    sub = compress_qubits(code, mask, f"{code.name}|restricted")
+    certify(get_structure(sub).k == k_M, f"restricted code's k is not the counted k_M={k_M}")
     if original_distance is None:
         original_distance = _subsystem_distance(code, budgets)
     d_M = _subsystem_distance(sub, budgets)
     holds = d_M >= original_distance - shell_qubits
     return RestrictionAuditResult(
-        "distance_bound", sub_st.k, d_M, original_distance, shell_qubits, holds, region.size
+        "distance_bound", k_M, d_M, original_distance, shell_qubits, holds, region.size
     )
 
 
@@ -299,28 +286,23 @@ def minimal_block_search(
     """
     if code.lattice.D > 2:
         raise PreconditionError("minimal block search supports D = 1 or 2 only")
-    lat = code.lattice
-    cross = lat.L ** (lat.D - 1)
-    for width in range(1, lat.L + 1):
-        starts = range(lat.L) if lat.periodic and width < lat.L else range(lat.L - width + 1)
-        for start in starts:
-            region = axis_window_region(lat, axis, start, width)
-            mask = code.qubit_mask_in(region)
-            if mask == 0:
-                continue
-            sub = compress_qubits(code, mask, f"{code.name}|block")
-            if get_structure(sub).k == 0:
-                continue
-            d_M = _subsystem_distance(sub, budgets, axis=axis)
-            shell_qubits = code.qubit_mask_in(boundary_shell(region, code.declared_r)).bit_count()
-            d = _subsystem_distance(code, budgets, axis=axis)
-            r = code.declared_r
-            checks = {
-                "d_M <= r*L^(D-1)": d_M <= r * cross,
-                "d <= d_M + shell": d <= d_M + shell_qubits,
-                "d <= 3r*L^(D-1)": d <= 3 * r * cross,
-            }
-            return MinimalBlockResult(
-                True, start, width, axis, get_structure(sub).k, d_M, d, shell_qubits, checks
-            )
+    G = get_structure(code).G
+    cross = code.lattice.L ** (code.lattice.D - 1)
+    for width, start, region in axis_windows(code.lattice, axis):
+        mask = code.qubit_mask_in(region)
+        k_M = _restricted_k(G, mask)
+        if k_M == 0:
+            continue
+        sub = compress_qubits(code, mask, f"{code.name}|block")
+        certify(get_structure(sub).k == k_M, f"block code's k is not the counted k_M={k_M}")
+        d_M = _subsystem_distance(sub, budgets, axis=axis)
+        shell_qubits = code.qubit_mask_in(boundary_shell(region, code.declared_r)).bit_count()
+        d = _subsystem_distance(code, budgets, axis=axis)
+        r = code.declared_r
+        checks = {
+            "d_M <= r*L^(D-1)": d_M <= r * cross,
+            "d <= d_M + shell": d <= d_M + shell_qubits,
+            "d <= 3r*L^(D-1)": d <= 3 * r * cross,
+        }
+        return MinimalBlockResult(True, start, width, axis, k_M, d_M, d, shell_qubits, checks)
     return MinimalBlockResult(False, None, None, axis, 0, None, None, 0, {})

@@ -77,6 +77,17 @@ def test_restrict_audit_subcommand(bs3_file, capsys):
     assert json.loads(text)["result"]["holds"] is True
 
 
+def test_restrict_audit_region_without_qubits_counts_shell(tmp_path, capsys):
+    # D=1, L=4 with no qubit at site (3): its r=2 shell holds qubits 1 and 2
+    path = tmp_path / "holey.code"
+    path.write_text("lattice D=1 L=4 boundary=open\nname=holey\nrole=stabilizer\nr=2\n"
+                    "qubits:\n(0)\n(1)\n(2)\nZ(0) Z(1)\nZ(1) Z(2)\n")
+    rc, text = run(capsys, "restrict-audit", "--code", str(path), "--sites", "(3)")
+    assert rc == 0
+    result = json.loads(text)["result"]
+    assert result["case"] == "no_logicals" and result["shell_qubits"] == 2
+
+
 def test_min_block_subcommand(bs3_file, capsys):
     rc, text = run(capsys, "min-block", "--code", bs3_file, "--axis", "0")
     assert rc == 0

@@ -274,3 +274,20 @@ def test_bounding_extent_examples():
     assert per.bounding_extent(wrap, axis=0) == 2
     open_ = make_repetition_1d(6)
     assert open_.bounding_extent(wrap, axis=0) == 6
+
+
+def test_support_extent_is_widest_axis_extent():
+    for code in ZOO:
+        for g in code.generators:
+            side = max(code.bounding_extent(g, axis) for axis in range(code.lattice.D))
+            assert code.support_extent(g.support()) == side
+        assert code.support_extent([]) == 0
+
+
+def test_center_locality_from_support_extent():
+    from latstab.audit import _center_is_local
+
+    assert _center_is_local(make_toric_2d(3))
+    assert _center_is_local(make_steane_chain(3))
+    # the Bacon-Shor center is generated by two-column X and two-row Z strings
+    assert not _center_is_local(make_bacon_shor_2d(3))

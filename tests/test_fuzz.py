@@ -1,6 +1,7 @@
 """Fuzz tests: malformed input gives a typed LatstabError (exit 1 in the CLI),
 never an uncaught exception."""
 
+import argparse
 import contextlib
 import io
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latstab import make_bacon_shor_2d, make_repetition_1d, parse_code, serialize_code
-from latstab.cli import main
+from latstab.cli import build_parser, main
 from latstab.errors import LatstabError
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -81,7 +82,16 @@ OPTIONS = {
     "sweep": {"--axis": small.map(str)},
     "restrict-audit": REGION,
     "min-block": {"--axis": small.map(str)},
+    "audit": {"--boundary": choice("open", "periodic", "x")},
 }
+# the subcommands that read the budget flags
+BUDGETED = {"distance", "barrier", "restrict-audit", "min-block", "audit"}
+
+
+def command_options(command):
+    return {**OPTIONS[command], **(BUDGETS if command in BUDGETED else {})}
+
+
 OP = st.one_of(choice("X(0) X(1) X(2)", "Z(0)", "X(0,0) X(0,1)", ""), noise)
 L_SPEC = st.builds(
     lambda parts, sep: sep.join(parts),
@@ -92,16 +102,15 @@ L_SPEC = st.builds(
 
 @st.composite
 def argvs(draw, code_paths):
-    command = draw(choice(*OPTIONS, "audit"))
+    command = draw(choice(*OPTIONS))
     if command == "audit":
         head = ["audit", "--family", "repetition", "--L", draw(L_SPEC)]
-        options = {"--boundary": choice("open", "periodic", "x"), **BUDGETS}
     else:
         head = [command, "--code", draw(choice(*code_paths))]
         if command == "clean":
             head += ["--op", draw(OP)]
-        options = {**OPTIONS[command], **BUDGETS}
-    names = draw(st.lists(choice(*options), max_size=4, unique=True))
+    options = command_options(command)
+    names = draw(st.lists(choice(*options), max_size=4, unique=True)) if options else []
     return head + [a for name in names for a in (name, draw(options[name]))]
 
 
@@ -116,3 +125,12 @@ def test_cli_exits_with_a_code(code_paths, data):
             assert e.code == 2
             return
     assert rc in (0, 1, 2)
+
+
+def test_option_table_matches_parser():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in OPTIONS:
+        defined = subparsers.choices[command]._option_string_actions
+        assert set(command_options(command)) <= set(defined), command
+        assert all((flag in defined) == (command in BUDGETED) for flag in BUDGETS), command

@@ -5,6 +5,7 @@ from latstab.geometry import (
     Lattice,
     Region,
     axis_window_region,
+    axis_windows,
     boundary_shell,
     min_window,
     strip_partition,
@@ -101,3 +102,13 @@ def test_axis_window_wraps():
     w = axis_window_region(lat, 0, 3, 2)  # columns 3 and 0
     cols = {c[0] for c in w.site_coords()}
     assert cols == {0, 3}
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_axis_windows_order(boundary):
+    lat = Lattice(2, 3, boundary)
+    got = [(w, s) for w, s, _ in axis_windows(lat, 1)]
+    starts = {1: 3, 2: 3, 3: 1} if boundary == "periodic" else {1: 3, 2: 2, 3: 1}
+    assert got == [(w, s) for w in (1, 2, 3) for s in range(starts[w])]
+    for w, s, region in axis_windows(lat, 1):
+        assert region == axis_window_region(lat, 1, s, w)

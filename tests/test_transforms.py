@@ -1,12 +1,19 @@
+import hashlib
+import json
+
 import pytest
 
+import latstab.transforms as transforms
 from latstab import (
+    CodeSpec,
+    Lattice,
     PauliOp,
     clean_stabilizer,
     clean_subsystem,
     compress_qubits,
     get_structure,
     make_bacon_shor_2d,
+    make_generalized_toric,
     make_heisenberg_gauge,
     make_repetition_1d,
     make_steane_chain,
@@ -16,8 +23,9 @@ from latstab import (
     restriction_audit,
     strip_sweep,
 )
-from latstab.errors import ContractViolation, NoLogicalQubitsError
-from latstab.geometry import Region
+from latstab.errors import CertificateError, ContractViolation, NoLogicalQubitsError
+from latstab.geometry import Region, axis_windows
+from latstab.groups import _restricted_k
 
 from conftest import random_centralizer_element
 
@@ -142,10 +150,40 @@ def test_strip_sweep_repetition():
     assert res.extent <= 2
 
 
+# SHA-256 of [[witness text, extent, method] for axis 0, then axis 1],
+# recorded before the sweep's stabilizer codes moved to the joint cleaning of
+# the even-strip union; the single cleaning path must reproduce them
+SWEEP_PINS = {
+    "toric-2": "70fdc5fa1f018b23c21892532c596368b334d20b5c0a5f4326f9d2d1efeebca1",
+    "toric-3": "3fe546b21a275b7a09b9032e69ff9448ff66adba64ce9d67899cf66e7b0a80aa",
+    "toric-4": "4b6d08f04687dcedaa74ef46785876353e416e1e9a01e4194df6286025e5fc08",
+    "toric-5": "64c2777bfc7ca72c5c03df5a38be23eae38d49f705d5104894e070f78ca41a6f",
+    "toric-6": "b3871da7bf9c5e4de5e1e5ee00551d5bc564d722fc8eeeb1891e3fcb29b4a083",
+    "toric-7": "1a316d81a206593506f1692b55131f800cf1ff949bf10925873ad2e7159e7aac",
+    "toric-8": "df1db5dfe3ed7c5d1a3cedb968052ed8b87fa989f97890901f1f394d2d679c8f",
+    "surface-2": "198c2e2841c308ac194e8b374262af27d29c4db0490d063332604fca924d9c4f",
+    "surface-3": "052ed46b74b962ae16273004227e1fb65b22431f17f0af64cc25cee6e4705fd1",
+    "surface-4": "d9bcd396b0d91adf50d23f2d61a2d42ef181ba08164bb43190da907f21d6441e",
+    "surface-5": "2817ac38f8ba143903f6b83e6bdaa80f0b2a374f63295755652cf7f0fe0a8d98",
+    "surface-6": "43ff81bb2bd37a1c2340fa61cd684bfc88e4a367e27fbbe709db29936d0a90df",
+    "surface-7": "1879e66f5fd9a89ae0a0b96434e9044e4db9c4eb0a641d4b5a897404b479e183",
+    "surface-8": "3b8a4d66eef2eec56a8fb42036432d4a6d90290ba959058363060e5eb4a8f6b3",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_PINS))
+def test_strip_sweep_pinned(key):
+    family, L = key.split("-")
+    code = {"toric": make_toric_2d, "surface": make_surface_2d}[family](int(L))
+    rows = []
+    for axis in (0, 1):
+        res = strip_sweep(code, axis=axis)
+        rows.append([code.format_op(res.witness), res.extent, res.method])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SWEEP_PINS[key]
+
+
 def test_strip_sweep_needs_logicals():
     # a code with k = 0: single qubit fully fixed by its stabilizer
-    from latstab import CodeSpec, Lattice
-
     code = CodeSpec("fixed", Lattice(1, 2), "stabilizer", 2,
                     [PauliOp.single(2, 0, "Z"), PauliOp.single(2, 1, "Z")])
     with pytest.raises(NoLogicalQubitsError):
@@ -168,6 +206,21 @@ def test_restriction_audit_disk_and_full():
     full = restriction_audit(code, Region.full(code.lattice), original_distance=3)
     assert full.case == "distance_bound"
     assert full.d_M == 3 and full.shell_qubits == 0 and full.holds
+
+
+def holey_code():
+    """D=1, L=4 open code with no qubit at site (3)."""
+    return CodeSpec("holey", Lattice(1, 4), "stabilizer", 2,
+                    [PauliOp.from_letters(3, [(0, "Z"), (1, "Z")]),
+                     PauliOp.from_letters(3, [(1, "Z"), (2, "Z")])],
+                    qubit_cells=[(0,), (1,), (2,)])
+
+
+def test_restriction_audit_region_without_qubits_counts_shell():
+    code = holey_code()
+    res = restriction_audit(code, Region.from_sites(code.lattice, [(3,)]))
+    assert res.case == "no_logicals" and res.holds
+    assert res.shell_qubits == 2 and res.region_size == 1
 
 
 def test_restriction_audit_randomized_never_violates(rng):
@@ -208,3 +261,49 @@ def test_minimal_block_bacon_shor_strips():
     L = code.lattice.L
     assert res.d_M <= code.declared_r * L
     assert res.checks["d <= 3r*L^(D-1)"]
+
+
+K_M_CODES = [
+    make_repetition_1d(2), make_repetition_1d(5), make_repetition_1d(5, "periodic"),
+    *(make(L) for make in (make_toric_2d, make_surface_2d, make_bacon_shor_2d)
+      for L in (2, 3, 4)),
+    make_heisenberg_gauge(1, 5), make_heisenberg_gauge(2, 3),
+    make_steane_chain(1), make_steane_chain(3),
+    make_generalized_toric(2, 3), make_generalized_toric(3, 2),
+]
+
+
+def test_restricted_k_matches_restricted_code():
+    windows = 0
+    for code in K_M_CODES:
+        G = get_structure(code).G
+        for axis in range(code.lattice.D):
+            for width, start, region in axis_windows(code.lattice, axis):
+                mask = code.qubit_mask_in(region)
+                expect = get_structure(compress_qubits(code, mask, "sub")).k
+                assert _restricted_k(G, mask) == expect, (code.name, axis, start, width)
+                windows += 1
+    assert windows == 470
+
+
+@pytest.mark.parametrize("code", [make_steane_chain(3), make_bacon_shor_2d(3)],
+                         ids=["steane_chain3", "bacon_shor3"])
+def test_minimal_block_builds_one_restricted_code(code, monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return compress_qubits(*args)
+
+    monkeypatch.setattr(transforms, "compress_qubits", counting)
+    res = minimal_block_search(code, axis=0)
+    assert res.found and len(built) == 1
+
+
+def test_wrong_restricted_k_raises_certificate_error(monkeypatch):
+    monkeypatch.setattr(transforms, "_restricted_k", lambda basis, mask: 5)
+    with pytest.raises(CertificateError):
+        minimal_block_search(make_steane_chain(1), axis=0)
+    code = make_toric_2d(3)
+    with pytest.raises(CertificateError):
+        restriction_audit(code, Region.full(code.lattice), original_distance=3)
