@@ -10,12 +10,9 @@ from .geometry import Lattice, Region, boundary_shell, strip_partition
 from .groups import (
     GroupBasis,
     LogicalBasis,
-    center,
     centralizer,
     contained_subgroup,
     get_structure,
-    logical_basis,
-    restrict_group,
     span_basis,
 )
 from .metrics import (
@@ -27,7 +24,6 @@ from .metrics import (
     distance,
     distance_bruteforce,
     distance_dp,
-    energy_cost,
     linear_distance,
 )
 from .pauli import PauliOp
@@ -75,7 +71,6 @@ __all__ = [
     "barrier_exact",
     "barrier_walk_bound",
     "boundary_shell",
-    "center",
     "centralizer",
     "clean_stabilizer",
     "clean_subsystem",
@@ -84,10 +79,8 @@ __all__ = [
     "distance",
     "distance_bruteforce",
     "distance_dp",
-    "energy_cost",
     "get_structure",
     "linear_distance",
-    "logical_basis",
     "make_bacon_shor_2d",
     "make_generalized_toric",
     "make_heisenberg_gauge",
@@ -97,7 +90,6 @@ __all__ = [
     "make_toric_2d",
     "minimal_block_search",
     "parse_code",
-    "restrict_group",
     "restriction_audit",
     "serialize_code",
     "span_basis",

@@ -125,7 +125,7 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
         rec.skipped.append({"what": "barrier", "reason": "no logical qubits"})
     else:
         try:
-            bres = barrier_exact(code, mode="subsystem", budgets=budgets)
+            bres = barrier_exact(code, budgets=budgets)
         except CapacityError as e:
             nbits = e.required.bit_length() - 1
             limit = (f"exceeds node cap {e.cap}" if e.cap == budgets.node_cap
@@ -173,7 +173,7 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
 
     # 1D bit-flip sector barrier (the classical-memory no-go column)
     if lat.D == 1 and code.role == STABILIZER and st.k > 0 and exact_barrier is not None:
-        bflip = barrier_exact(code, mode="subsystem", class_mask=0b01, budgets=budgets)
+        bflip = barrier_exact(code, class_mask=0b01, budgets=budgets)
         rec.metrics["barrier_xbar_class"] = bflip.value
 
     # 1D gauge families: minimal-block procedure

@@ -74,12 +74,12 @@ class _Quotient:
 
 def barrier_exact(
     code: CodeSpec,
-    mode: str = "subsystem",
     class_mask: Optional[int] = None,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> BarrierResult:
     """Exact minimax energy over single-qubit walks from identity to any
-    logical target, with the achieving walk as witness.
+    logical target (the subsystem targets: in C(S), outside G), with the
+    achieving walk as witness.
 
     ``class_mask`` restricts the targets to used classes overlapping it (see
     ``CodeStructure.target_bits``); the barrier with some pairs treated as
@@ -90,9 +90,6 @@ def barrier_exact(
     the labels it expanded (``expanded``).
     """
     st = get_structure(code)
-    st.check_mode(mode)
-    if mode == "bare":
-        raise ValidationError(f"unknown barrier mode {mode!r}")
     if st.k == 0:
         return BarrierResult(None, "no_logicals", "exact_bottleneck")
     targets = st.target_bits(class_mask)

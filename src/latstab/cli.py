@@ -29,7 +29,7 @@ from .audit import (
 from .barrier import barrier_exact
 from .codes import CodeSpec, parse_code, serialize_code
 from .config import Budgets
-from .errors import CodeFormatError, LatstabError
+from .errors import CodeFormatError, LatstabError, ValidationError
 from .geometry import Region
 from .groups import get_structure
 from .metrics import WalkTrace, barrier_walk_bound, distance, linear_distance
@@ -199,15 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="exact code distance")
     common(p, budgets=True)
-    p.add_argument("--mode", choices=["stabilizer", "subsystem", "bare"],
-                   default="subsystem")
+    p.add_argument("--mode", choices=["subsystem", "bare"], default="subsystem")
     p.add_argument("--method", choices=["auto", "dp", "bruteforce"], default="auto")
     p.add_argument("--axis", type=int, default=0)
 
     p = sub.add_parser("lindist", help="exact linear distance (axis window width)")
     common(p)
-    p.add_argument("--mode", choices=["stabilizer", "subsystem", "bare"],
-                   default="subsystem")
+    p.add_argument("--mode", choices=["subsystem", "bare"], default="subsystem")
     p.add_argument("--axis", type=int, default=0)
 
     p = sub.add_parser("barrier", help="energy barrier (exact or walk bound)")
@@ -279,10 +277,12 @@ def _cmd_lindist(args, code):
 
 @_code_command
 def _cmd_barrier(args, code):
+    code.lattice.check_axis(args.axis)
     if args.method == "exact":
-        res = barrier_exact(code, mode="subsystem", class_mask=args.class_mask,
-                            budgets=_budgets(args))
+        res = barrier_exact(code, class_mask=args.class_mask, budgets=_budgets(args))
         return {}, _fields(res, code, "value status method", walk=res.witness), 0
+    if args.class_mask is not None:
+        raise ValidationError("--class-mask applies to --method exact only")
     sw = strip_sweep(code, axis=args.axis)
     res = barrier_walk_bound(code, sw.witness, args.schedule, axis=args.axis)
     return {}, _fields(res, code, "value status method", witness=sw.witness,

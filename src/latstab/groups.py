@@ -75,18 +75,6 @@ def _intersection(a: GroupBasis, b: GroupBasis) -> GroupBasis:
     return GroupBasis(a.n, gf2.intersect_spans(list(a.rows), list(b.rows), 2 * a.n))
 
 
-def center(basis: GroupBasis) -> GroupBasis:
-    """Span of the group intersected with its centralizer."""
-    return _intersection(basis, centralizer(basis))
-
-
-def restrict_group(basis: GroupBasis, qubit_mask: int) -> GroupBasis:
-    """Group of restrictions onto the masked qubits (correct because
-    restriction is a homomorphism of the projective group)."""
-    m2 = qubit_mask | (qubit_mask << basis.n)
-    return GroupBasis(basis.n, [r & m2 for r in basis.rows])
-
-
 def _restricted_k(basis: GroupBasis, qubit_mask: int) -> int:
     """k_M of the gauge code on the masked qubits generated by the rows'
     restrictions R: n_M - rank(R) + rank(Gram(R))/2.  Restriction is a
@@ -337,19 +325,10 @@ class CodeStructure:
 
     # -- membership / targets -------------------------------------------------
 
-    def in_S(self, op: PauliOp) -> bool:
-        return self.S.contains(op)
-
-    def in_G(self, op: PauliOp) -> bool:
-        return self.G.contains(op)
-
     def check_mode(self, mode: str) -> None:
-        """Reject a mode the search engines do not know, and stabilizer mode
-        on a gauge code (whose dressed logicals need subsystem mode)."""
-        if mode not in ("stabilizer", "subsystem", "bare"):
+        """Reject a mode the search engines do not know."""
+        if mode not in ("subsystem", "bare"):
             raise ValidationError(f"unknown mode {mode!r}")
-        if mode == "stabilizer" and self.code.role != STABILIZER:
-            raise ValidationError("stabilizer mode on a gauge code; use subsystem")
 
     def target_bits(self, class_mask: Optional[int]) -> int:
         """The used-class bits a target must overlap: all 2k of them for
@@ -366,10 +345,11 @@ class CodeStructure:
     def is_logical_vec(self, v: int, mode: str, class_mask: Optional[int] = None) -> bool:
         """Target predicate for distance/barrier searches.
 
-        stabilizer/subsystem: commutes with the stabilizer group and carries a
-        used-class component (outside S resp. G).  bare: commutes with the
-        whole gauge group and lies outside it.  class_mask restricts targets
-        to ones overlapping the given used-class bits (see target_bits).
+        subsystem: commutes with the stabilizer group and carries a
+        used-class component (so lies outside G, which is S for a stabilizer
+        code).  bare: commutes with the whole gauge group and lies outside
+        it.  class_mask restricts targets to ones overlapping the given
+        used-class bits (see target_bits).
         """
         self.check_mode(mode)
         targets = self.target_bits(class_mask)
@@ -391,8 +371,3 @@ def get_structure(code: CodeSpec) -> CodeStructure:
             _structure_cache.clear()
         _structure_cache[code] = CodeStructure(code)
     return _structure_cache[code]
-
-
-def logical_basis(code: CodeSpec) -> LogicalBasis:
-    """Deterministic symplectic basis of logical pairs (used + gauge)."""
-    return get_structure(code).logicals

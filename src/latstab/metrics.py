@@ -1,11 +1,13 @@
-"""Quantitative code metrics: energy cost, exact distances (enumeration and
-transfer DP), linear distance, and walk-based energy-barrier upper bounds.
+"""Quantitative code metrics: exact distances (enumeration and transfer DP),
+linear distance, and walk-based energy-barrier upper bounds.
 
 Search modes share one target predicate (groups.CodeStructure.is_logical):
 
-  stabilizer  operators in C(S) outside S         (subspace codes)
   subsystem   operators in C(S) outside G         (dressed logicals)
   bare        operators in C(G) outside G         (bare logicals)
+
+A stabilizer code is the subsystem code with G = S, so its distance is the
+subsystem one.
 
 A class_mask narrows targets to ones whose used-logical class overlaps the
 mask (CodeStructure.target_bits, which rejects a mask selecting no used pair);
@@ -34,11 +36,6 @@ from .groups import CodeStructure, get_structure
 from .pauli import PauliOp
 
 _LETTERS = ("X", "Y", "Z")
-
-
-def energy_cost(code: CodeSpec, op: PauliOp) -> int:
-    """Twice the number of declared Hamiltonian terms anticommuting with op."""
-    return get_structure(code).energy(op)
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +107,21 @@ def _detector_rows(st: CodeStructure, mode: str) -> Tuple[int, ...]:
 def distance_bruteforce(
     code: CodeSpec,
     mode: str = "subsystem",
-    weight_cap: Optional[int] = None,
     class_mask: Optional[int] = None,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> DistanceResult:
     """Exact distance by weight-ordered enumeration of supports and letters.
 
     Returns the first (minimum-weight) operator passing the target predicate;
-    if the cap is exhausted first, a typed lower-bound result (d > cap).
+    if ``budgets.weight_cap`` is exhausted first, a typed lower-bound result
+    (d > cap).
     """
     st = get_structure(code)
     st.check_mode(mode)
     if st.k == 0:
         return DistanceResult(None, "no_logicals", mode, "bruteforce")
     targets = st.target_bits(class_mask)
-    cap = weight_cap if weight_cap is not None else budgets.weight_cap
+    cap = budgets.weight_cap
     n = code.n
     det_rows = _detector_rows(st, mode)
     det = [[0] * 3 for _ in range(n)]
@@ -323,7 +320,6 @@ def distance(
     mode: str = "subsystem",
     axis: int = 0,
     method: str = "auto",
-    weight_cap: Optional[int] = None,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> DistanceResult:
     """Exact distance by the transfer DP ("dp"), weight-ordered enumeration
@@ -339,7 +335,7 @@ def distance(
         except CapacityError:
             if method == "dp":
                 raise
-    return distance_bruteforce(code, mode, weight_cap=weight_cap, budgets=budgets)
+    return distance_bruteforce(code, mode, budgets=budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +401,6 @@ def barrier_walk_bound(
     schedule: str = "row_by_row",
     axis: int = 0,
     order: Optional[Sequence[int]] = None,
-    mode: str = "subsystem",
 ) -> BarrierResult:
     """Energy ceiling of the walk implementing the witness letter by letter.
 
@@ -414,8 +409,8 @@ def barrier_walk_bound(
     arbitrary applies them in qubit-index order; an explicit order wins.
     """
     st = get_structure(code)
-    if not st.is_logical(witness, mode):
-        raise ContractViolation("walk witness is not a logical operator for this mode")
+    if not st.is_logical(witness):
+        raise ContractViolation("walk witness is not a logical operator")
     support = witness.support()
     if order is not None:
         if sorted(order) != support:

@@ -47,7 +47,7 @@ class CleanResult:
 def _cleaned(st, op: PauliOp, mult: PauliOp, mask: int, used=()) -> CleanResult:
     cleaned = op.mul(mult)
     certify(cleaned.restrict(mask).is_identity, "cleaned operator still acts on the region")
-    certify(st.in_S(mult), "cleaning multiplier is not a stabilizer")
+    certify(st.S.contains(mult), "cleaning multiplier is not a stabilizer")
     return CleanResult("cleaned", mult, cleaned, generator_indices=tuple(used))
 
 
@@ -227,10 +227,15 @@ def compress_qubits(code: CodeSpec, qubit_mask: int, name: str) -> CodeSpec:
 
 
 def _subsystem_distance(code: CodeSpec, budgets: Budgets, axis: int = 0) -> Optional[int]:
-    """Exact subsystem distance (enumeration uncapped by weight), or CapacityError."""
-    res = distance(code, "subsystem", axis=axis, weight_cap=code.n, budgets=budgets)
-    if res.status != "exact" and res.status != "no_logicals":
-        raise CapacityError(f"exact distance infeasible for {code.name}")
+    """Exact subsystem distance under the budgets (the DP, else enumeration up
+    to ``budgets.weight_cap``), or CapacityError when neither is exact."""
+    res = distance(code, "subsystem", axis=axis, budgets=budgets)
+    if res.status == "lower_bound":
+        raise CapacityError(
+            f"exact distance of {code.name} is past the transfer DP's capacity and above "
+            f"the weight cap {budgets.weight_cap}; raise --weight-cap (Budgets.weight_cap)",
+            required=res.lower_bound, cap=budgets.weight_cap,
+        )
     return res.value
 
 

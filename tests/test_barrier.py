@@ -79,8 +79,8 @@ def test_toric3_exact_value_and_bounds():
         for letter in "XYZ"
     )
     assert min_single == 4
-    wb = barrier_walk_bound(code, distance_bruteforce(code, weight_cap=3).witness,
-                            "row_by_row", axis=0)
+    d = distance_bruteforce(code, budgets=Budgets(weight_cap=3))
+    wb = barrier_walk_bound(code, d.witness, "row_by_row", axis=0)
     assert wb.value >= 4
     res.witness.validate(st)
     assert res.witness.eps_max == 4

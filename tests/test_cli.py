@@ -125,18 +125,42 @@ def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     ["audit", "--family", "repetition", "--L", "2..3..4"],
     ["clean", "--code", "{code}", "--op", "", "--sites", "(1,,2)"],
     ["validate", "--code", "{dir}"],
-    ["distance", "--code", "{code}", "--mode", "stabilizer"],
     ["audit", "--family", "toric", "--L", "5..2"],
     ["audit", "--family", "repetition", "--L", "3", "--jobs", "0"],
     ["audit", "--family", "repetition", "--L", "3", "--jobs", "-4"],
+    ["barrier", "--code", "{code}", "--method", "walk", "--class-mask", "0"],
+    ["barrier", "--code", "{code}", "--method", "exact", "--axis", "7"],
 ], ids=["L_not_integer", "L_two_ranges", "site_empty_coordinate", "code_is_directory",
-        "stabilizer_mode_on_gauge_code", "L_empty_range", "jobs_zero", "jobs_negative"])
+        "L_empty_range", "jobs_zero", "jobs_negative", "class_mask_with_walk",
+        "exact_barrier_bad_axis"])
 def test_malformed_cli_input_exit_1(bs3_file, tmp_path, capsys, argv):
     argv = [a.format(code=bs3_file, dir=tmp_path) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["distance", "lindist"])
+def test_stabilizer_mode_is_not_a_choice(bs3_file, capsys, command):
+    # a stabilizer code's distance is the subsystem one (G = S), so argparse
+    # offers only subsystem and bare
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--code", bs3_file, "--mode", "stabilizer"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'stabilizer'" in capsys.readouterr().err
+
+
+def test_restrict_audit_reads_weight_cap(tmp_path, capsys):
+    # the DP is over a 1 MiB budget on toric 3 (d = 3), so enumeration up to
+    # the cap decides; cap 1 cannot certify d and the command fails
+    path = tmp_path / "toric3.code"
+    path.write_text(serialize_code(make_toric_2d(3)))
+    argv = ["restrict-audit", "--code", str(path), "--box", "0:3,0:3", "--mem-budget", "1"]
+    assert main(argv + ["--weight-cap", "1"]) == 1
+    assert "weight cap 1" in capsys.readouterr().err
+    rc, text = run(capsys, *argv, "--weight-cap", "3")
+    assert rc == 0 and json.loads(text)["result"]["d_M"] == 3
 
 
 def test_distance_auto_reports_bad_axis(tmp_path, capsys):
@@ -267,7 +291,7 @@ def test_family_arguments_taken(capsys):
     assert rc == 0 and text.startswith("lattice D=2 ")
 
 
-@pytest.mark.parametrize("command", ["distance", "lindist"])
+@pytest.mark.parametrize("command", ["distance", "lindist", "barrier"])
 def test_axis_outside_lattice_on_no_logicals_code_exit_1(tmp_path, capsys, command):
     path = tmp_path / "k0.code"
     path.write_text(serialize_code(CodeSpec("fixed", Lattice(1, 2), "stabilizer", 2,

@@ -116,7 +116,7 @@ def test_heisenberg_center_trivial_and_bare_logical():
     assert st.s == 0
     x_all = PauliOp(code.n, (1 << code.n) - 1, 0)
     assert st.syndrome(x_all) == 0  # commutes with every generator
-    assert not st.in_G(x_all)
+    assert not st.G.contains(x_all)
 
 
 def test_heisenberg_bare_weight_is_lattice_volume():

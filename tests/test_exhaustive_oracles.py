@@ -8,11 +8,11 @@ nullspace code paths it validates.
 import random
 
 from latstab import (
+    Budgets,
     CodeSpec,
     Lattice,
     PauliOp,
     barrier_exact,
-    center,
     centralizer,
     contained_subgroup,
     distance_bruteforce,
@@ -21,9 +21,9 @@ from latstab import (
     linear_distance,
     make_heisenberg_gauge,
     make_repetition_1d,
-    restrict_group,
     span_basis,
 )
+from latstab.groups import _intersection, _restricted_k
 
 from conftest import all_paulis, walk_barrier_oracle
 
@@ -57,7 +57,8 @@ def test_center_matches_bruteforce():
         b = span_basis(n, random_ops(rng, n, rng.randint(0, 5)))
         elems = span_elements(b)
         want = {p for p in elems if all(p.commutes(q) for q in elems)}
-        got = span_elements(center(b))
+        # the stabilizer group of a gauge code: CodeStructure's S
+        got = span_elements(_intersection(b, centralizer(b)))
         assert got == want
 
 
@@ -68,8 +69,12 @@ def test_restrict_and_contained_match_bruteforce():
         b = span_basis(n, random_ops(rng, n, rng.randint(0, 5)))
         mask = rng.getrandbits(n)
         elems = span_elements(b)
-        want_restrict = {p.restrict(mask) for p in elems}
-        assert span_elements(restrict_group(b, mask)) == want_restrict
+        # k_M of the restricted group R on the masked qubits, from its size
+        # and its center's: |R| = 2^(s + 2g), |Z(R)| = 2^s, k = n_M - s - g
+        restricted = {p.restrict(mask) for p in elems}
+        center = {p for p in restricted if all(p.commutes(q) for q in restricted)}
+        rank_r, s = (len(group).bit_length() - 1 for group in (restricted, center))
+        assert _restricted_k(b, mask) == mask.bit_count() - s - (rank_r - s) // 2
         want_contained = {p for p in elems if p.support_mask() & ~mask == 0}
         assert span_elements(contained_subgroup(b, mask)) == want_contained
 
@@ -112,7 +117,7 @@ def test_distance_class_mask_restriction():
     code = make_repetition_1d(5)
     # operators carrying the X-bar class must flip every site
     assert distance_dp(code, class_mask=0b01).value == 5
-    assert distance_bruteforce(code, weight_cap=5, class_mask=0b01).value == 5
+    assert distance_bruteforce(code, class_mask=0b01, budgets=Budgets(weight_cap=5)).value == 5
     # Z-bar class is the cheap one
     assert distance_dp(code, class_mask=0b10).value == 1
 
@@ -139,7 +144,7 @@ def test_dp_matches_bruteforce_on_random_local_gauge_codes():
         built += 1
         for mode in ("subsystem", "bare"):
             dp = distance_dp(code, mode=mode)
-            bf = distance_bruteforce(code, mode, weight_cap=n)
+            bf = distance_bruteforce(code, mode, budgets=Budgets(weight_cap=n))
             assert dp.value == bf.value, (code.name, mode)
 
 

@@ -69,10 +69,10 @@ REGION = {
 # per subcommand: its options and their values, a few of them invalid
 OPTIONS = {
     "validate": {},
-    "distance": {"--mode": choice("stabilizer", "subsystem", "bare", "x"),
+    "distance": {"--mode": choice("subsystem", "bare", "x"),
                  "--method": choice("auto", "dp", "bruteforce", "x"),
                  "--axis": small.map(str)},
-    "lindist": {"--mode": choice("stabilizer", "subsystem", "bare", "x"),
+    "lindist": {"--mode": choice("subsystem", "bare", "x"),
                 "--axis": small.map(str)},
     "barrier": {"--method": choice("exact", "walk", "x"),
                 "--schedule": choice("row_by_row", "arbitrary", "x"),

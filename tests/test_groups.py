@@ -5,7 +5,6 @@ import pytest
 
 from latstab import (
     PauliOp,
-    center,
     centralizer,
     contained_subgroup,
     get_structure,
@@ -13,14 +12,20 @@ from latstab import (
     make_heisenberg_gauge,
     make_repetition_1d,
     make_toric_2d,
-    restrict_group,
     span_basis,
 )
 from latstab.geometry import Region
 from latstab.gf2 import rank
-from latstab.groups import CosetReducer, GroupBasis
+from latstab.groups import CosetReducer, GroupBasis, _intersection, _restricted_k
 
 from conftest import all_paulis, coset_reduce_oracle, random_centralizer_element
+
+
+def restricted_group(basis, qubit_mask):
+    """Restrictions of the rows onto the masked qubits, which span the
+    restricted group because restriction is a homomorphism."""
+    m2 = qubit_mask | (qubit_mask << basis.n)
+    return GroupBasis(basis.n, [r & m2 for r in basis.rows])
 
 
 def zz(n, i, j):
@@ -74,18 +79,18 @@ def test_center_examples():
     assert all(op.weight() == 6 for op in st.S.ops())
     # abelian input: center equals the span
     rep = make_repetition_1d(4)
-    c = center(get_structure(rep).G)
-    assert c.rank == get_structure(rep).G.rank
+    G = get_structure(rep).G
+    assert _intersection(G, centralizer(G)).rank == G.rank
     # trivial center
     assert get_structure(make_heisenberg_gauge(1, 3)).s == 0
 
 
 def test_restrict_group_identities():
-    code = make_toric_2d(3)
-    st = get_structure(code)
-    full = (1 << code.n) - 1
-    assert restrict_group(st.S, full).rank == st.S.rank
-    assert restrict_group(st.S, 0).rank == 0
+    # k_M on the whole code is k, and on no qubits it is 0
+    for code in (make_toric_2d(3), make_bacon_shor_2d(3), make_heisenberg_gauge(1, 3)):
+        st = get_structure(code)
+        assert _restricted_k(st.G, (1 << code.n) - 1) == st.k
+        assert _restricted_k(st.G, 0) == 0
 
 
 def test_restricted_toric_contains_interior_plaquette():
@@ -96,7 +101,7 @@ def test_restricted_toric_contains_interior_plaquette():
     plaquettes = [g for g in code.generators if g.x == 0]
     inside = [g for g in plaquettes if g.support_mask() & ~mask == 0]
     assert inside
-    restricted = restrict_group(st.S, mask)
+    restricted = restricted_group(st.S, mask)
     for g in inside:
         assert restricted.contains(g)
 
@@ -123,7 +128,7 @@ def test_contained_subset_of_restricted():
     for _ in range(25):
         mask = rng.getrandbits(code.n)
         small = contained_subgroup(st.S, mask)
-        big = restrict_group(st.S, mask)
+        big = restricted_group(st.S, mask)
         for r in small.rows:
             assert big.contains_vec(r)
 
@@ -136,7 +141,7 @@ def test_contained_commutes_with_restriction_group():
     for _ in range(20):
         mask = rng.getrandbits(code.n)
         inside = contained_subgroup(st.S, mask)
-        restricted = restrict_group(st.S, mask)
+        restricted = restricted_group(st.S, mask)
         for a in inside.ops():
             assert a.support_mask() & ~mask == 0
             for b in restricted.ops():
@@ -157,7 +162,7 @@ def test_logical_basis_invariants():
             for srow in st.S.rows:
                 s_op = PauliOp.from_vector(code.n, srow)
                 assert xb.commutes(s_op) and zb.commutes(s_op)
-            assert not st.in_G(xb) and not st.in_G(zb)
+            assert not st.G.contains(xb) and not st.G.contains(zb)
 
 
 def test_logical_counts():

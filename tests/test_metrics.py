@@ -1,13 +1,15 @@
+import inspect
+
 import pytest
 
 from latstab import (
+    Budgets,
     PauliOp,
     barrier_exact,
     barrier_walk_bound,
     distance,
     distance_bruteforce,
     distance_dp,
-    energy_cost,
     get_structure,
     linear_distance,
     make_bacon_shor_2d,
@@ -24,12 +26,12 @@ from conftest import brute_min_weight, run_optimized
 
 
 def test_energy_cost_identity_zero():
-    assert energy_cost(make_toric_2d(2), PauliOp.identity(8)) == 0
+    assert get_structure(make_toric_2d(2)).energy(PauliOp.identity(8)) == 0
 
 
 def test_energy_cost_single_x_toric():
     code = make_toric_2d(3)
-    assert energy_cost(code, PauliOp.single(code.n, 0, "X")) == 4
+    assert get_structure(code).energy(PauliOp.single(code.n, 0, "X")) == 4
 
 
 def test_energy_cost_bacon_shor_partial_column_endpoint():
@@ -38,20 +40,21 @@ def test_energy_cost_bacon_shor_partial_column_endpoint():
     xbar = st.logicals.pairs[0][0]  # X column
     col = sorted(xbar.support(), key=lambda q: code.anchor(q))
     # the full column commutes with everything on the open lattice
-    assert energy_cost(code, xbar) == 0
+    assert st.energy(xbar) == 0
     # a prefix only anticommutes with the vertical ZZ at its moving end
     prefix = PauliOp.from_letters(code.n, [(q, "X") for q in col[:2]])
-    assert energy_cost(code, prefix) == 2
+    assert st.energy(prefix) == 2
 
 
 def test_distance_examples():
     assert distance_bruteforce(make_repetition_1d(5)).value == 1
-    assert distance_bruteforce(make_toric_2d(3), weight_cap=3).value == 3
-    assert distance_bruteforce(make_bacon_shor_2d(3), "subsystem", weight_cap=3).value == 3
+    cap3 = Budgets(weight_cap=3)
+    assert distance_bruteforce(make_toric_2d(3), budgets=cap3).value == 3
+    assert distance_bruteforce(make_bacon_shor_2d(3), "subsystem", budgets=cap3).value == 3
 
 
 def test_distance_weight_cap_lower_bound():
-    res = distance_bruteforce(make_toric_2d(3), weight_cap=2)
+    res = distance_bruteforce(make_toric_2d(3), budgets=Budgets(weight_cap=2))
     assert res.status == "lower_bound"
     assert res.value is None
     assert res.lower_bound == 3
@@ -60,7 +63,7 @@ def test_distance_weight_cap_lower_bound():
 def test_distance_witness_is_logical():
     code = make_surface_2d(3)
     st = get_structure(code)
-    res = distance_bruteforce(code, weight_cap=3)
+    res = distance_bruteforce(code, budgets=Budgets(weight_cap=3))
     assert res.witness.weight() == res.value == 3
     assert st.is_logical(res.witness, "subsystem")
 
@@ -73,7 +76,7 @@ def test_distance_against_independent_scan():
     def is_logical(op):
         if any(not op.commutes(g) for g in code.generators):
             return False
-        return not st.in_S(op)
+        return not st.S.contains(op)
 
     w, _ = brute_min_weight(code, is_logical, 4)
     assert w == 2 == distance_bruteforce(code).value
@@ -81,8 +84,8 @@ def test_distance_against_independent_scan():
 
 def test_dp_equals_bruteforce_everywhere():
     cases = [
-        (make_repetition_1d(4), "stabilizer", 4),
-        (make_repetition_1d(6, "periodic"), "stabilizer", 6),
+        (make_repetition_1d(4), "subsystem", 4),
+        (make_repetition_1d(6, "periodic"), "subsystem", 6),
         (make_toric_2d(2), "subsystem", 2),
         (make_toric_2d(3), "subsystem", 3),
         (make_surface_2d(2), "subsystem", 2),
@@ -96,7 +99,7 @@ def test_dp_equals_bruteforce_everywhere():
     ]
     for code, mode, cap in cases:
         dp = distance_dp(code, mode=mode)
-        bf = distance_bruteforce(code, mode, weight_cap=cap)
+        bf = distance_bruteforce(code, mode, budgets=Budgets(weight_cap=cap))
         assert dp.value == bf.value, code.name
 
 
@@ -168,7 +171,7 @@ def test_walk_bound_row_by_row_constant_toric():
 
 def test_walk_bound_arbitrary_vs_participation_cap():
     code = make_toric_2d(3)
-    d = distance_bruteforce(code, weight_cap=3)
+    d = distance_bruteforce(code, budgets=Budgets(weight_cap=3))
     wb = barrier_walk_bound(code, d.witness, "arbitrary")
     _, participation = code.validate_locality()
     assert wb.value <= 2 * participation * d.value
@@ -189,18 +192,29 @@ def test_walk_bound_explicit_order():
     lambda code: distance_dp(code, mode="stabilizer"),
     lambda code: distance_bruteforce(code, "stabilizer"),
     lambda code: linear_distance(code, mode="stabilizer"),
-    lambda code: barrier_exact(code, mode="stabilizer"),
-], ids=["distance", "distance_dp", "distance_bruteforce", "linear_distance",
-        "barrier_exact"])
+], ids=["distance", "distance_dp", "distance_bruteforce", "linear_distance"])
 def test_stabilizer_mode_rejected_on_gauge_code(engine):
-    with pytest.raises(ValidationError, match="stabilizer mode on a gauge code"):
-        engine(make_bacon_shor_2d(3))
+    # "stabilizer" is an unknown mode on every code, gauge or not: a stabilizer
+    # code is the subsystem code with G = S, so "subsystem" gives its distance
+    for code in (make_bacon_shor_2d(3), make_toric_2d(3)):
+        with pytest.raises(ValidationError, match="unknown mode 'stabilizer'"):
+            engine(code)
+
+
+def test_removed_search_options():
+    # each question has one way to ask it: the barrier engines search the
+    # subsystem targets only, and Budgets.weight_cap is the one enumeration cap
+    for fn, name in ((barrier_exact, "mode"), (barrier_walk_bound, "mode"),
+                     (distance, "weight_cap"), (distance_bruteforce, "weight_cap")):
+        assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
+    with pytest.raises(TypeError):
+        barrier_exact(make_repetition_1d(3), mode="subsystem")
 
 
 @pytest.mark.parametrize("mask", [0, 0b110000], ids=["zero", "above_2k"])
 @pytest.mark.parametrize("engine", [
     lambda code, mask: distance_dp(code, class_mask=mask),
-    lambda code, mask: distance_bruteforce(code, weight_cap=3, class_mask=mask),
+    lambda code, mask: distance_bruteforce(code, budgets=Budgets(weight_cap=3), class_mask=mask),
     lambda code, mask: linear_distance(code, class_mask=mask),
     lambda code, mask: barrier_exact(code, class_mask=mask),
     lambda code, mask: get_structure(code).is_logical(PauliOp.identity(code.n),

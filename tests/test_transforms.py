@@ -5,6 +5,7 @@ import pytest
 
 import latstab.transforms as transforms
 from latstab import (
+    Budgets,
     CodeSpec,
     Lattice,
     PauliOp,
@@ -23,7 +24,8 @@ from latstab import (
     restriction_audit,
     strip_sweep,
 )
-from latstab.errors import CertificateError, ContractViolation, NoLogicalQubitsError
+from latstab.errors import (CapacityError, CertificateError, ContractViolation,
+                             NoLogicalQubitsError)
 from latstab.geometry import Region, axis_windows
 from latstab.groups import _restricted_k
 
@@ -122,7 +124,7 @@ def test_randomized_cleaning_postconditions(rng):
             if res.outcome == "cleaned":
                 assert res.cleaned.restrict(mask).is_identity
                 assert res.cleaned == op.mul(res.stabilizer)
-                assert st.in_S(res.stabilizer)
+                assert st.S.contains(res.stabilizer)
             else:
                 assert res.trapped.support_mask() & ~mask == 0
                 assert st.is_logical(res.trapped, "subsystem")
@@ -206,6 +208,18 @@ def test_restriction_audit_disk_and_full():
     full = restriction_audit(code, Region.full(code.lattice), original_distance=3)
     assert full.case == "distance_bound"
     assert full.d_M == 3 and full.shell_qubits == 0 and full.holds
+
+
+def test_restriction_audit_reads_weight_cap():
+    # a 1 MiB budget puts toric 3's transfer DP over capacity, so enumeration
+    # decides d = 3, and it stops at the cap
+    code = make_toric_2d(3)
+    full = Region.full(code.lattice)
+    with pytest.raises(CapacityError, match="weight cap 1") as exc:
+        restriction_audit(code, full, budgets=Budgets(weight_cap=1, mem_mb=1))
+    assert (exc.value.required, exc.value.cap) == (2, 1)
+    res = restriction_audit(code, full, budgets=Budgets(weight_cap=3, mem_mb=1))
+    assert res.d == res.d_M == 3
 
 
 def holey_code():
