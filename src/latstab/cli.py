@@ -147,8 +147,9 @@ def _region_arg(args, code) -> Region:
 
 
 def _budgets(args) -> Budgets:
-    flags = {"weight_cap": args.weight_cap, "node_cap": args.node_cap,
-             "mem_mb": args.mem_budget}
+    flags = {"weight_cap": getattr(args, "weight_cap", None),
+             "node_cap": getattr(args, "node_cap", None),
+             "mem_mb": getattr(args, "mem_budget", None)}
     return replace(Budgets.from_env(), **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -166,6 +167,9 @@ def _parse_L(spec: str) -> List[int]:
     return sizes
 
 
+_ALL_BUDGETS = ("--weight-cap", "--node-cap", "--mem-budget")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="latstab",
@@ -174,15 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"latstab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, code=True, budgets=False):
+    def common(p, code=True, budgets=()):
         p.add_argument("--out", help="write the JSON report here (default: stdout)")
-        if budgets:
-            p.add_argument("--weight-cap", type=int, default=None,
-                           help="brute-force weight cap (default 6)")
-            p.add_argument("--node-cap", type=int, default=None,
-                           help="coset-node cap for exact barriers (default 2^24)")
-            p.add_argument("--mem-budget", type=int, default=None,
-                           help="memory budget in MiB for the transfer DP (default 4096)")
+        for flag, help_text in (
+            ("--weight-cap", "brute-force weight cap (default 6)"),
+            ("--node-cap", "coset-node cap for exact barriers (default 2^24)"),
+            ("--mem-budget", "memory budget in MiB for the transfer DP (default 4096)"),
+        ):
+            if flag in budgets:
+                p.add_argument(flag, type=int, default=None, help=help_text)
         if code:
             p.add_argument("--code", required=True, help="code file")
 
@@ -198,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("distance", help="exact code distance")
-    common(p, budgets=True)
+    common(p, budgets=_ALL_BUDGETS)
     p.add_argument("--mode", choices=["subsystem", "bare"], default="subsystem")
     p.add_argument("--method", choices=["auto", "dp", "bruteforce"], default="auto")
     p.add_argument("--axis", type=int, default=0)
@@ -209,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=int, default=0)
 
     p = sub.add_parser("barrier", help="energy barrier (exact or walk bound)")
-    common(p, budgets=True)
+    common(p, budgets=("--node-cap",))
     p.add_argument("--method", choices=["exact", "walk"], default="exact")
-    p.add_argument("--schedule", choices=["row_by_row", "arbitrary"],
-                   default="row_by_row")
+    p.add_argument("--schedule", choices=["row_by_row", "arbitrary"], default=None,
+                   help="walk order for --method walk (default row_by_row)")
     p.add_argument("--axis", type=int, default=0)
     p.add_argument("--class-mask", type=int, default=None,
                    help="restrict targets to classes overlapping this used-pair bit mask")
@@ -228,16 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=int, default=0)
 
     p = sub.add_parser("restrict-audit", help="restriction dichotomy and distance bound")
-    common(p, budgets=True)
+    common(p, budgets=_ALL_BUDGETS)
     p.add_argument("--box", help="half-open region box")
     p.add_argument("--sites", help="explicit site list")
 
     p = sub.add_parser("min-block", help="minimal contiguous block with a logical qubit")
-    common(p, budgets=True)
+    common(p, budgets=_ALL_BUDGETS)
     p.add_argument("--axis", type=int, default=0)
 
     p = sub.add_parser("audit", help="audit a family across sizes")
-    common(p, code=False, budgets=True)
+    common(p, code=False, budgets=_ALL_BUDGETS)
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--L", required=True, help="sizes: '2..4' or '2,3,4'")
     p.add_argument("--D", type=int, default=None)
@@ -279,12 +283,15 @@ def _cmd_lindist(args, code):
 def _cmd_barrier(args, code):
     code.lattice.check_axis(args.axis)
     if args.method == "exact":
+        if args.schedule is not None:
+            raise ValidationError("--schedule applies to --method walk only")
         res = barrier_exact(code, class_mask=args.class_mask, budgets=_budgets(args))
         return {}, _fields(res, code, "value status method", walk=res.witness), 0
-    if args.class_mask is not None:
-        raise ValidationError("--class-mask applies to --method exact only")
+    for flag, value in (("--class-mask", args.class_mask), ("--node-cap", args.node_cap)):
+        if value is not None:
+            raise ValidationError(f"{flag} applies to --method exact only")
     sw = strip_sweep(code, axis=args.axis)
-    res = barrier_walk_bound(code, sw.witness, args.schedule, axis=args.axis)
+    res = barrier_walk_bound(code, sw.witness, args.schedule or "row_by_row", axis=args.axis)
     return {}, _fields(res, code, "value status method", witness=sw.witness,
                        walk=res.witness), 0
 

@@ -22,6 +22,8 @@ from itertools import combinations, groupby
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .codes import STABILIZER, CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
     certify,
 )
 from .geometry import axis_windows
-from .gf2 import gather, nullspace, pairings, parity, scatter
+from .gf2 import combine, gather, left_kernel, nullspace, pairings, parity, scatter
 from .groups import CodeStructure, get_structure
 from .pauli import PauliOp
 
@@ -186,6 +188,35 @@ def _color_intervals(first: List[int], last: List[int]) -> Tuple[List[int], int]
     return colors, next_color
 
 
+def _top_insert(basis: List[int], pivots: int, r: int) -> Tuple[int, int, int]:
+    """Insert r, reduced against ``basis`` and nonzero, into a fully reduced
+    basis kept in ascending order of highest-bit pivots.  Returns the new pivot
+    mask, r's slot in the basis, and the mask of the old basis vectors that
+    carried r's pivot bit (they are reduced by r in place)."""
+    t = r.bit_length() - 1
+    slot = (pivots & ((1 << t) - 1)).bit_count()
+    carried = 0
+    for j, b in enumerate(basis):
+        if (b >> t) & 1:
+            basis[j] = b ^ r
+            carried |= 1 << j
+    basis.insert(slot, r)
+    return pivots | 1 << t, slot, carried
+
+
+def _span(basis: Sequence[int]) -> "np.ndarray":
+    """Every element of span(basis), in ascending order when the basis is
+    fully reduced with highest-bit pivots in ascending order: element i is
+    the XOR of the basis vectors that the bits of i select."""
+    out = np.zeros(1 << len(basis), dtype=np.int64)
+    for j, b in enumerate(basis):
+        out[1 << j:2 << j] = out[:1 << j] ^ b
+    return out
+
+
+_UNREACHED = 0xFFFE  # weight of a DP slot no operator reaches; +1 still fits in uint16
+
+
 def distance_dp(
     code: CodeSpec,
     axis: int = 0,
@@ -200,9 +231,16 @@ def distance_dp(
     bits); a detector row's bit must be zero when its window closes.  Rows with
     disjoint windows share a state bit, so the front is exponential only in
     the cut size.  Equal to distance_bruteforce wherever both run.
-    """
-    import numpy as np
 
+    Every reachable state is reached, so each front is a GF(2) subspace
+    (the previous front plus the letters' contributions, cut to the states
+    whose closing bits are zero).  A front is held as its reduced basis with
+    highest-bit pivots and a weight array indexed by the basis coordinates
+    of each state, which is ascending state order; letters act by XOR on
+    those coordinates and closing rows by a linear filter, so no pass sorts.
+    The bases alone fix every front's size, so the state cap is checked
+    before any weights are built, and the trail keeps only the weights.
+    """
     st = get_structure(code)
     st.check_mode(mode)
     code.lattice.check_axis(axis)
@@ -248,58 +286,93 @@ def distance_dp(
                 close |= 1 << bit_of[i]
         closes.append(close)
 
-    keys = np.zeros(1, dtype=np.uint64)
-    weights = np.zeros(1, dtype=np.uint16)
-    trail = []
+    # the fronts follow from GF(2) algebra alone, so every front size is
+    # checked against the state cap before any weight array is built;
+    # fronts[p] is the front before position p as (basis, pivot mask), the
+    # basis fully reduced with ascending highest-bit pivots
+    fronts: List[Tuple[List[int], int]] = [([], 0)]
+    steps = []
     peak = 1
     for p in range(n):
-        close = np.uint64(closes[p])
-        cand_k, cand_w = [], []
-        for li in range(-1, 3):
-            c = np.uint64(0) if li < 0 else np.uint64(contribs[p][li + 1])
-            nk = keys ^ c
-            ok = (nk & close) == 0
-            cand_k.append(nk[ok])
-            cand_w.append(weights[ok] + (0 if li < 0 else 1))
-        ck = np.concatenate(cand_k)
-        cw = np.concatenate(cand_w)
-        srt = np.lexsort((cw, ck))
-        ck, cw = ck[srt], cw[srt]
-        keep = np.ones(len(ck), dtype=bool)
-        keep[1:] = ck[1:] != ck[:-1]
-        keys, weights = ck[keep], cw[keep]
-        peak = max(peak, len(keys))
-        if len(keys) > budgets.dp_state_cap:
+        basis, pivots = fronts[p]
+        # (a) grow: the front plus span{X, Z} contributions (Y = X ^ Z)
+        grown = list(basis)
+        inserts = []
+        for c in (contribs[p][1], contribs[p][3]):
+            r = c ^ combine(gather(c, pivots), grown)
+            if r:
+                pivots, slot, carried = _top_insert(grown, pivots, r)
+                inserts.append((slot, carried))
+        # (c) closing rows keep the coordinates i with combine(i, grown) & close == 0
+        close = closes[p]
+        kept_basis: List[int] = []
+        kept_pivots = 0
+        for v in left_kernel([b & close for b in grown], close.bit_length()):
+            r = v ^ combine(gather(v, kept_pivots), kept_basis)
+            kept_pivots = _top_insert(kept_basis, kept_pivots, r)[0]
+        size = 1 << len(kept_basis)
+        peak = max(peak, size)
+        if size > budgets.dp_state_cap:
             raise CapacityError(
-                f"transfer DP front has {len(keys)} states at position {p}",
-                required=len(keys), cap=budgets.dp_state_cap,
+                f"transfer DP front has {size} states at position {p}",
+                required=size, cap=budgets.dp_state_cap,
             )
-        trail.append((keys, weights))
+        steps.append((inserts, pivots, kept_basis))
+        front = [combine(i, grown) for i in kept_basis]
+        fronts.append((front, sum(1 << (b.bit_length() - 1) for b in front)))
 
-    cls_vals = (keys >> np.uint64(det_width)).astype(np.int64)
-    sel = (cls_vals & targets) != 0
+    # trail[p] holds the weights of fronts[p]: weights[i] is the least weight
+    # reaching the state combine(i, basis)
+    trail = [np.zeros(1, dtype=np.uint16)]
+    for p, (inserts, pivots, kept_basis) in enumerate(steps):
+        weights = trail[p]
+        # a new basis vector doubles the coordinates; an old state keeps its
+        # own bit at the new pivot, and the other half starts unreached
+        for slot, carried in inserts:
+            lo = 1 << slot
+            old = weights.reshape(-1, lo)
+            out = np.full((old.shape[0], 2, lo), _UNREACHED, dtype=np.uint16)
+            if carried:
+                bit = (np.bitwise_count(np.arange(len(weights)) & carried) & 1).astype(bool)
+                bit = bit.reshape(old.shape)
+                out[:, 0, :] = np.where(bit, _UNREACHED, old)
+                out[:, 1, :] = np.where(bit, old, _UNREACHED)
+            else:
+                out[:, 0, :] = old
+            weights = out.reshape(-1)
+        # (b) letters, read from the grown front before any of them applies;
+        # (c) the close filter keeps ascending order
+        kept = _span(kept_basis)
+        new = weights[kept]
+        for c in contribs[p][1:]:
+            np.minimum(new, weights[kept ^ gather(c, pivots)] + 1, out=new)
+        certify(len(new) == 1 << len(kept_basis) and int(new.max()) < _UNREACHED,
+                f"DP front at position {p} is not a fully reached subspace")
+        trail.append(new)
+
+    basis, weights = fronts[n][0], trail[n]
+    keys = _span(basis)
+    sel = ((keys >> det_width) & targets) != 0
     # every used class is carried by some logical, so some key reaches it
     certify(sel.any(), "DP front holds no target class")
     cand = np.flatnonzero(sel)
     best_i = cand[int(np.argmin(weights[cand]))]
-    best_key = np.uint64(keys[best_i])
+    best_key = int(keys[best_i])
     best_w = int(weights[best_i])
 
-    # backward reconstruction: XOR transitions are invertible, so search the
-    # previous front for a predecessor with the matching weight
+    # backward reconstruction: XOR transitions are invertible, so look up the
+    # predecessor in the previous front and take it if its weight matches
     letters = []
     key, w = best_key, best_w
     for p in range(n - 1, -1, -1):
-        pk_arr, pw_arr = trail[p - 1] if p else (np.zeros(1, np.uint64),
-                                                 np.zeros(1, np.uint16))
+        (pbasis, ppivots), pweights = fronts[p], trail[p]
         for li in range(-1, 3):
-            c = np.uint64(0) if li < 0 else np.uint64(contribs[p][li + 1])
             cost = 0 if li < 0 else 1
             if w - cost < 0:
                 continue
-            prev = key ^ c
-            i = int(np.searchsorted(pk_arr, prev))
-            if i < len(pk_arr) and pk_arr[i] == prev and int(pw_arr[i]) == w - cost:
+            prev = key ^ (0 if li < 0 else contribs[p][li + 1])
+            i = gather(prev, ppivots)
+            if combine(i, pbasis) == prev and int(pweights[i]) == w - cost:
                 letters.append(li)
                 key, w = prev, w - cost
                 break

@@ -2,9 +2,10 @@
 audit, and the 1D/strip minimal-block search.
 
 Each procedure has one path for every code: the sweep cleans the union of its
-even strips in one solve per start logical, and the restriction audit and the
-block scan count k_M from the parent's gauge rows (groups._restricted_k),
-building a restricted code only when k_M > 0.
+even strips with one solve per start logical against one factorization of the
+stabilizer rows, and the restriction audit and the block scan count k_M from
+the parent's gauge rows (groups._restricted_k), building a restricted code
+only when k_M > 0.
 
 Every outcome is machine-checked before it is returned: cleaned results
 verify triviality on the region and membership of the multiplier, trapped and
@@ -29,7 +30,7 @@ from .errors import (
     certify,
 )
 from .geometry import Region, axis_windows, boundary_shell, strip_partition
-from .gf2 import combine, gather, solve
+from .gf2 import Echelon, combine, gather, solve
 from .groups import CosetReducer, _restricted_k, contained_subgroup, get_structure
 from .metrics import _window_logical_vectors, distance, linear_distance
 from .pauli import PauliOp
@@ -102,14 +103,25 @@ def clean_subsystem(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
     if st.syndrome(op):
         raise ContractViolation("operator is not in the centralizer of the gauge group")
     mask = code.qubit_mask_in(region)
+    return _clean_on(st, op, mask, _stabilizers_on(st, mask))
+
+
+def _stabilizers_on(st, mask: int) -> Echelon:
+    """The stabilizer rows cut to the masked qubits, factored once so every
+    operator cleaned off the same qubits reuses them."""
+    m2 = mask | (mask << st.n)
+    return Echelon([r & m2 for r in st.S.rows], 2 * st.n)
+
+
+def _clean_on(st, op: PauliOp, mask: int, stabilizers: Echelon) -> CleanResult:
+    """clean_subsystem for an operator in C(G), against _stabilizers_on(st, mask)."""
     restricted = op.restrict(mask)
     if restricted.is_identity:
-        return CleanResult("cleaned", PauliOp.identity(code.n), op)
-    m2 = mask | (mask << code.n)
-    coeff = solve([r & m2 for r in st.S.rows], restricted.vector, 2 * code.n)
+        return CleanResult("cleaned", PauliOp.identity(st.n), op)
+    coeff = stabilizers.solve(restricted.vector)
     if coeff is not None:
-        return _cleaned(st, op, PauliOp.from_vector(code.n, combine(coeff, st.S.rows)), mask)
-    return _trapped(code, mask)
+        return _cleaned(st, op, PauliOp.from_vector(st.n, combine(coeff, st.S.rows)), mask)
+    return _trapped(st.code, mask)
 
 
 @dataclass(frozen=True)
@@ -147,7 +159,8 @@ def strip_sweep(code: CodeSpec, axis: int = 0) -> SweepResult:
         )
     strips = strip_partition(code.lattice, r, axis)
     widths = tuple(s_.size // code.lattice.L ** (code.lattice.D - 1) for s_ in strips)
-    even_union = reduce(Region.union, strips[1::2])
+    even_mask = code.qubit_mask_in(reduce(Region.union, strips[1::2]))
+    even_stabilizers = _stabilizers_on(st, even_mask)
     candidates: List[Tuple[int, int, int, PauliOp, str]] = []
 
     @cache  # every start logical reuses the odd strips and the even union
@@ -167,9 +180,10 @@ def strip_sweep(code: CodeSpec, axis: int = 0) -> SweepResult:
         candidates.append((extent, reduced.weight(), reduced.vector, reduced, method))
 
     for start in (p for pair in st.logicals.pairs for p in pair):
-        res = clean_subsystem(code, start, even_union)
+        # a logical pair lies in C(G), as clean_subsystem requires
+        res = _clean_on(st, start, even_mask, even_stabilizers)
         if res.outcome == "trapped_logical":
-            consider(res.trapped, code.qubit_mask_in(even_union), "strip_sweep_trapped")
+            consider(res.trapped, even_mask, "strip_sweep_trapped")
             continue
         for strip in strips[0::2]:
             mask = code.qubit_mask_in(strip)

@@ -217,16 +217,21 @@ def test_failed_certificate_raises(monkeypatch):
 
 
 def test_failed_certificate_raises_under_optimize():
+    # the barrier walk loses its steps; the DP witness loses its letters
     script = (
         "import latstab.barrier as b\n"
-        "from latstab import CertificateError, make_repetition_1d\n"
+        "import latstab.metrics as m\n"
+        "from latstab import CertificateError, PauliOp, make_repetition_1d\n"
         "b._reconstruct = lambda *args: []\n"
-        "try:\n"
-        "    b.barrier_exact(make_repetition_1d(3), class_mask=0b01)\n"
-        "except CertificateError:\n"
-        "    print('CertificateError', __debug__)\n"
+        "m.PauliOp = type('Blank', (PauliOp,), {'from_letters': staticmethod(\n"
+        "    lambda n, letters: PauliOp.identity(n))})\n"
+        "for search in (b.barrier_exact, m.distance_dp):\n"
+        "    try:\n"
+        "        search(make_repetition_1d(3), class_mask=0b01)\n"
+        "    except CertificateError:\n"
+        "        print('CertificateError', __debug__)\n"
     )
-    assert run_optimized(script) == ["CertificateError", "False"]
+    assert run_optimized(script) == ["CertificateError", "False"] * 2
 
 
 def test_reconstruct_rejects_broken_parent_chain():

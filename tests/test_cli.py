@@ -130,15 +130,27 @@ def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     ["audit", "--family", "repetition", "--L", "3", "--jobs", "-4"],
     ["barrier", "--code", "{code}", "--method", "walk", "--class-mask", "0"],
     ["barrier", "--code", "{code}", "--method", "exact", "--axis", "7"],
+    ["barrier", "--code", "{code}", "--method", "walk", "--node-cap", "1"],
+    ["barrier", "--code", "{code}", "--method", "exact", "--schedule", "arbitrary"],
 ], ids=["L_not_integer", "L_two_ranges", "site_empty_coordinate", "code_is_directory",
         "L_empty_range", "jobs_zero", "jobs_negative", "class_mask_with_walk",
-        "exact_barrier_bad_axis"])
+        "exact_barrier_bad_axis", "node_cap_with_walk", "schedule_with_exact"])
 def test_malformed_cli_input_exit_1(bs3_file, tmp_path, capsys, argv):
     argv = [a.format(code=bs3_file, dir=tmp_path) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["walk", "exact"])
+def test_barrier_takes_no_enumeration_or_dp_budget(bs3_file, capsys, method):
+    # neither barrier engine enumerates weights or runs the transfer DP
+    argv = ["barrier", "--code", bs3_file, "--method", method]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--weight-cap", "1", "--mem-budget", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weight-cap 1 --mem-budget 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["distance", "lindist"])

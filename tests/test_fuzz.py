@@ -84,12 +84,18 @@ OPTIONS = {
     "min-block": {"--axis": small.map(str)},
     "audit": {"--boundary": choice("open", "periodic", "x")},
 }
-# the subcommands that read the budget flags
-BUDGETED = {"distance", "barrier", "restrict-audit", "min-block", "audit"}
+# the budget flags each subcommand reads
+BUDGETED = {
+    "distance": BUDGETS,
+    "barrier": {"--node-cap": BUDGETS["--node-cap"]},
+    "restrict-audit": BUDGETS,
+    "min-block": BUDGETS,
+    "audit": BUDGETS,
+}
 
 
 def command_options(command):
-    return {**OPTIONS[command], **(BUDGETS if command in BUDGETED else {})}
+    return {**OPTIONS[command], **BUDGETED.get(command, {})}
 
 
 OP = st.one_of(choice("X(0) X(1) X(2)", "Z(0)", "X(0,0) X(0,1)", ""), noise)
@@ -133,4 +139,5 @@ def test_option_table_matches_parser():
     for command in OPTIONS:
         defined = subparsers.choices[command]._option_string_actions
         assert set(command_options(command)) <= set(defined), command
-        assert all((flag in defined) == (command in BUDGETED) for flag in BUDGETS), command
+        assert all((flag in defined) == (flag in BUDGETED.get(command, {}))
+                   for flag in BUDGETS), command
