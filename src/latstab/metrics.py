@@ -214,7 +214,39 @@ def _span(basis: Sequence[int]) -> "np.ndarray":
     return out
 
 
-_UNREACHED = 0xFFFE  # weight of a DP slot no operator reaches; +1 still fits in uint16
+# A live DP key is (weight << 2) | letter in a uint16, the letter 0, 1, 2, 3
+# for I, X, Y, Z.  An unreached slot's key must survive + (4 + 3), so the
+# weight field (14 bits) holds weights up to _MAX_WEIGHT.
+_UNREACHED = 0xFFF8
+_MAX_WEIGHT = (_UNREACHED >> 2) - 1
+
+
+def _pack_letters(keys: "np.ndarray") -> "np.ndarray":
+    """The 2-bit letters of ``keys``, four per byte: letter i sits in bits
+    2 * (i % 4) of byte i // 4."""
+    letters = (keys & 3).astype(np.uint8)
+    letters = np.concatenate([letters, np.zeros(-len(letters) % 4, dtype=np.uint8)])
+    quads = letters.reshape(-1, 4)
+    return quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6
+
+
+def _dp_witness(fronts, trail, contribs, key: int) -> List[int]:
+    """Letters (0..3 for I, X, Y, Z) of the path reaching ``key`` in the last
+    front, rebuilt backward: trail[p + 1] holds, for each state of front
+    p + 1, the letter that first reached it at its least weight, and the
+    XOR transitions are invertible, so each step undoes that letter and
+    certifies that the predecessor lies in front p."""
+    letters = []
+    for p in range(len(fronts) - 2, -1, -1):
+        i = gather(key, fronts[p + 1][1])
+        li = int(trail[p + 1][i >> 2]) >> (2 * (i & 3)) & 3
+        key ^= contribs[p][li]
+        pbasis, ppivots = fronts[p]
+        certify(combine(gather(key, ppivots), pbasis) == key,
+                f"DP predecessor at position {p} is not in its front")
+        letters.append(li)
+    letters.reverse()
+    return letters
 
 
 def distance_dp(
@@ -235,11 +267,18 @@ def distance_dp(
     Every reachable state is reached, so each front is a GF(2) subspace
     (the previous front plus the letters' contributions, cut to the states
     whose closing bits are zero).  A front is held as its reduced basis with
-    highest-bit pivots and a weight array indexed by the basis coordinates
-    of each state, which is ascending state order; letters act by XOR on
-    those coordinates and closing rows by a linear filter, so no pass sorts.
-    The bases alone fix every front's size, so the state cap is checked
-    before any weights are built, and the trail keeps only the weights.
+    highest-bit pivots and a uint16 key array indexed by the basis
+    coordinates of each state, which is ascending state order; letters act
+    by XOR on those coordinates and closing rows by a linear filter, so no
+    pass sorts.  The bases alone fix every front's size, so the state cap is
+    checked before any keys are built.
+
+    A key is (w << 2) | letter: w the state's least weight, letter (0..3 for
+    I, X, Y, Z) the first in that order reaching it at w, so one minimum per
+    letter finds both.  Only the current front's keys stay live; the trail
+    keeps each front's letters, 2 bits per state, and the witness is rebuilt
+    backward from them.  A code with more qubits than the 14-bit weight
+    field holds raises CapacityError.
     """
     st = get_structure(code)
     st.check_mode(mode)
@@ -248,6 +287,11 @@ def distance_dp(
         return DistanceResult(None, "no_logicals", mode, "dp")
     targets = st.target_bits(class_mask)
     n = code.n
+    if n > _MAX_WEIGHT:
+        raise CapacityError(
+            f"transfer DP weight field holds weights up to {_MAX_WEIGHT}, not {n}",
+            required=n, cap=_MAX_WEIGHT,
+        )
     order = sorted(range(n), key=lambda q: (code.anchor(q)[axis], code.anchor(q), q))
     pos_of = {q: p for p, q in enumerate(order)}
     det_rows = [r for r in _detector_rows(st, mode) if r]
@@ -321,66 +365,49 @@ def distance_dp(
         front = [combine(i, grown) for i in kept_basis]
         fronts.append((front, sum(1 << (b.bit_length() - 1) for b in front)))
 
-    # trail[p] holds the weights of fronts[p]: weights[i] is the least weight
-    # reaching the state combine(i, basis)
-    trail = [np.zeros(1, dtype=np.uint16)]
+    # keys[i] is the key of the state combine(i, basis) of the current
+    # front; trail[p] keeps only the letters of fronts[p], packed
+    keys = np.zeros(1, dtype=np.uint16)
+    trail = [_pack_letters(keys)]
     for p, (inserts, pivots, kept_basis) in enumerate(steps):
-        weights = trail[p]
+        keys &= ~np.uint16(3)  # the trail holds the letters; steps read weights
         # a new basis vector doubles the coordinates; an old state keeps its
         # own bit at the new pivot, and the other half starts unreached
         for slot, carried in inserts:
             lo = 1 << slot
-            old = weights.reshape(-1, lo)
+            old = keys.reshape(-1, lo)
             out = np.full((old.shape[0], 2, lo), _UNREACHED, dtype=np.uint16)
             if carried:
-                bit = (np.bitwise_count(np.arange(len(weights)) & carried) & 1).astype(bool)
+                bit = (np.bitwise_count(np.arange(len(keys)) & carried) & 1).astype(bool)
                 bit = bit.reshape(old.shape)
                 out[:, 0, :] = np.where(bit, _UNREACHED, old)
                 out[:, 1, :] = np.where(bit, old, _UNREACHED)
             else:
                 out[:, 0, :] = old
-            weights = out.reshape(-1)
+            keys = out.reshape(-1)
         # (b) letters, read from the grown front before any of them applies;
+        # ties keep the earlier letter, whose key is smaller;
         # (c) the close filter keeps ascending order
         kept = _span(kept_basis)
-        new = weights[kept]
-        for c in contribs[p][1:]:
-            np.minimum(new, weights[kept ^ gather(c, pivots)] + 1, out=new)
+        new = keys[kept]
+        for li, c in enumerate(contribs[p][1:], 1):
+            np.minimum(new, keys[kept ^ gather(c, pivots)] + (4 + li), out=new)
         certify(len(new) == 1 << len(kept_basis) and int(new.max()) < _UNREACHED,
                 f"DP front at position {p} is not a fully reached subspace")
-        trail.append(new)
+        trail.append(_pack_letters(new))
+        keys = new
 
-    basis, weights = fronts[n][0], trail[n]
-    keys = _span(basis)
-    sel = ((keys >> det_width) & targets) != 0
-    # every used class is carried by some logical, so some key reaches it
+    weights = keys >> 2
+    states = _span(fronts[n][0])
+    sel = ((states >> det_width) & targets) != 0
+    # every used class is carried by some logical, so some state reaches it
     certify(sel.any(), "DP front holds no target class")
     cand = np.flatnonzero(sel)
     best_i = cand[int(np.argmin(weights[cand]))]
-    best_key = int(keys[best_i])
     best_w = int(weights[best_i])
-
-    # backward reconstruction: XOR transitions are invertible, so look up the
-    # predecessor in the previous front and take it if its weight matches
-    letters = []
-    key, w = best_key, best_w
-    for p in range(n - 1, -1, -1):
-        (pbasis, ppivots), pweights = fronts[p], trail[p]
-        for li in range(-1, 3):
-            cost = 0 if li < 0 else 1
-            if w - cost < 0:
-                continue
-            prev = key ^ (0 if li < 0 else contribs[p][li + 1])
-            i = gather(prev, ppivots)
-            if combine(i, pbasis) == prev and int(pweights[i]) == w - cost:
-                letters.append(li)
-                key, w = prev, w - cost
-                break
-        else:
-            certify(False, "DP reconstruction lost the optimal path")
-    letters.reverse()
+    letters = _dp_witness(fronts, trail, contribs, int(states[best_i]))
     witness = PauliOp.from_letters(
-        n, [(order[p], _LETTERS[li]) for p, li in enumerate(letters) if li >= 0]
+        n, [(order[p], _LETTERS[li - 1]) for p, li in enumerate(letters) if li]
     )
     certify(witness.weight() == best_w, f"DP witness has weight {witness.weight()}, not {best_w}")
     certify(st.is_logical(witness, mode, class_mask), "DP witness is not a target logical")

@@ -1,5 +1,6 @@
 """The transfer DP (`metrics.distance_dp`): a SHA-256 pin over its outcomes on
-the small zoo, and its two capacity limits.
+the small zoo, its capacity limits, its certified backward walk and its
+memory.
 
 The pin was recorded with the sorting engine that the subspace engine
 replaced; it fixes every value, status, witness (in lattice coordinates),
@@ -9,11 +10,13 @@ and class masks, so the two engines are byte-identical on all of them.
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
+from conftest import run_optimized
 
-from latstab import Budgets, distance_dp, make_toric_2d
-from latstab.errors import CapacityError, LatstabError
+from latstab import Budgets, distance_dp, make_surface_2d, make_toric_2d, metrics
+from latstab.errors import CapacityError, CertificateError, LatstabError
 from latstab.zoo import FAMILIES
 
 SMALL = Budgets(mem_mb=1)
@@ -70,3 +73,58 @@ def test_cut_wider_than_62_state_bits_raises():
     with pytest.raises(CapacityError, match="needs 123 state bits") as info:
         distance_dp(code)
     assert (info.value.required, info.value.cap) == (123, 62)
+
+
+def test_code_wider_than_weight_field_raises(monkeypatch):
+    code = make_toric_2d(3)  # 18 qubits
+    monkeypatch.setattr(metrics, "_MAX_WEIGHT", 18)
+    assert distance_dp(code).value == 3
+    monkeypatch.setattr(metrics, "_MAX_WEIGHT", 17)
+    with pytest.raises(CapacityError, match="weight field") as info:
+        distance_dp(code)
+    assert (info.value.required, info.value.cap) == (18, 17)
+
+
+# the walk reads the middle front's trail with every letter swapped
+# (I with X, Y with Z), so a predecessor leaves its front
+FLIP_LETTERS = (
+    "import latstab.metrics as m\n"
+    "real = m._dp_witness\n"
+    "def walk(fronts, trail, contribs, key):\n"
+    "    trail = list(trail)\n"
+    "    trail[len(trail) // 2] = trail[len(trail) // 2] ^ 0x55\n"
+    "    return real(fronts, trail, contribs, key)\n"
+    "m._dp_witness = walk\n"
+)
+
+
+def test_corrupted_letter_trail_raises(monkeypatch):
+    monkeypatch.setattr(metrics, "_dp_witness", metrics._dp_witness)  # restored after
+    exec(FLIP_LETTERS, {})
+    with pytest.raises(CertificateError, match="is not in its front"):
+        distance_dp(make_toric_2d(3))
+
+
+def test_corrupted_letter_trail_raises_under_optimize():
+    script = FLIP_LETTERS + (
+        "from latstab import CertificateError, distance_dp, make_toric_2d\n"
+        "try:\n"
+        "    distance_dp(make_toric_2d(3))\n"
+        "except CertificateError as exc:\n"
+        "    print('is not in its front' in str(exc), __debug__)\n"
+    )
+    assert run_optimized(script) == ["True", "False"]
+
+
+def test_surface7_traced_peak_stays_small():
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic;
+    # it was 6.35 MiB with a uint16 weight trail and is ~2.2 MiB with letters
+    code = make_surface_2d(7)
+    assert distance_dp(code).stats["front_peak"] == 65536  # warm the structure
+    tracemalloc.start()
+    try:
+        distance_dp(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
