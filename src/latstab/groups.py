@@ -333,10 +333,13 @@ class CodeStructure:
     def target_bits(self, class_mask: Optional[int]) -> int:
         """The used-class bits a target must overlap: all 2k of them for
         None, else the mask's bits among them (bits >= 2k name no pair).
-        A mask that selects no used pair is a ValidationError."""
+        A negative mask, or one that selects no used pair, is a
+        ValidationError."""
         used = (1 << (2 * self.k)) - 1
         if class_mask is None:
             return used
+        if class_mask < 0:
+            raise ValidationError(f"class mask {class_mask} is negative")
         if not class_mask & used:
             raise ValidationError(
                 f"class mask {class_mask:#b} selects none of the {self.k} used logical pairs")

@@ -33,7 +33,17 @@ from .errors import (
     certify,
 )
 from .geometry import axis_windows
-from .gf2 import combine, gather, left_kernel, nullspace, pairings, parity, scatter
+from .gf2 import (
+    Echelon,
+    combine,
+    extend_basis,
+    gather,
+    left_kernel,
+    nullspace,
+    pairings,
+    parity,
+    scatter,
+)
 from .groups import CodeStructure, get_structure
 from .pauli import PauliOp
 
@@ -91,7 +101,7 @@ class WalkTrace:
 class BarrierResult:
     value: Optional[int]
     status: str  # exact | upper_bound | no_logicals
-    method: str  # exact_bottleneck | walk_row_by_row | walk_arbitrary | walk_given_order
+    method: str  # exact_bottleneck | walk_row_by_row | walk_arbitrary
     witness: Optional[WalkTrace] = None
     stats: dict = field(default_factory=dict)
 
@@ -188,65 +198,90 @@ def _color_intervals(first: List[int], last: List[int]) -> Tuple[List[int], int]
     return colors, next_color
 
 
-def _top_insert(basis: List[int], pivots: int, r: int) -> Tuple[int, int, int]:
-    """Insert r, reduced against ``basis`` and nonzero, into a fully reduced
-    basis kept in ascending order of highest-bit pivots.  Returns the new pivot
-    mask, r's slot in the basis, and the mask of the old basis vectors that
-    carried r's pivot bit (they are reduced by r in place)."""
-    t = r.bit_length() - 1
-    slot = (pivots & ((1 << t) - 1)).bit_count()
-    carried = 0
-    for j, b in enumerate(basis):
-        if (b >> t) & 1:
-            basis[j] = b ^ r
-            carried |= 1 << j
-    basis.insert(slot, r)
-    return pivots | 1 << t, slot, carried
-
-
 def _span(basis: Sequence[int]) -> "np.ndarray":
-    """Every element of span(basis), in ascending order when the basis is
-    fully reduced with highest-bit pivots in ascending order: element i is
-    the XOR of the basis vectors that the bits of i select."""
+    """Every element of span(basis): element i is the XOR of the basis
+    vectors that the bits of i select."""
     out = np.zeros(1 << len(basis), dtype=np.int64)
     for j, b in enumerate(basis):
         out[1 << j:2 << j] = out[:1 << j] ^ b
     return out
 
 
+_BLOCK_BITS = 14
+
+
+def _gather_span(src: "np.ndarray", coords: Sequence[int]) -> "np.ndarray":
+    """src[combine(i, coords)] for every i below 2^len(coords), gathered in
+    blocks of at most 2^_BLOCK_BITS elements so no full index array is built."""
+    low, high = _span(coords[:_BLOCK_BITS]), _span(coords[_BLOCK_BITS:])
+    out = np.empty(len(low) * len(high), dtype=src.dtype)
+    idx = np.empty_like(low)
+    for block, h in zip(out.reshape(len(high), -1), high):
+        # indices are in range; "clip" skips the bounds check and its buffer
+        np.take(src, np.bitwise_xor(low, h, out=idx), out=block, mode="clip")
+    return out
+
+
 # A live DP key is (weight << 2) | letter in a uint16, the letter 0, 1, 2, 3
-# for I, X, Y, Z.  An unreached slot's key must survive + (4 + 3), so the
-# weight field (14 bits) holds weights up to _MAX_WEIGHT.
-_UNREACHED = 0xFFF8
-_MAX_WEIGHT = (_UNREACHED >> 2) - 1
+# for I, X, Y, Z; a key of weight up to _MAX_WEIGHT plus a step's + 7 fits.
+_MAX_WEIGHT = 0x3FFD
+_COSTS = (0, 5, 6, 7)  # per letter I, X, Y, Z: weight + 1 and the letter
 
 
 def _pack_letters(keys: "np.ndarray") -> "np.ndarray":
-    """The 2-bit letters of ``keys``, four per byte: letter i sits in bits
-    2 * (i % 4) of byte i // 4."""
-    letters = (keys & 3).astype(np.uint8)
-    letters = np.concatenate([letters, np.zeros(-len(letters) % 4, dtype=np.uint8)])
-    quads = letters.reshape(-1, 4)
-    return quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6
+    """The 2-bit letters of ``keys``, four per byte in quarters: with b the
+    packed length, letter i sits in bits 2 * (i // b) of byte i % b."""
+    if len(keys) < 4:
+        keys = np.concatenate([keys, np.zeros(4 - len(keys), dtype=keys.dtype)])
+    quarters = keys.reshape(4, -1)
+    out = (quarters[0] & 3).astype(np.uint8)
+    for j in (1, 2, 3):
+        out |= (quarters[j] & 3) << (2 * j)
+    return out
 
 
 def _dp_witness(fronts, trail, contribs, key: int) -> List[int]:
     """Letters (0..3 for I, X, Y, Z) of the path reaching ``key`` in the last
-    front, rebuilt backward: trail[p + 1] holds, for each state of front
-    p + 1, the letter that first reached it at its least weight, and the
-    XOR transitions are invertible, so each step undoes that letter and
-    certifies that the predecessor lies in front p."""
+    front, rebuilt backward.  fronts[p] is (a tagged Echelon whose first dim
+    rows are front p's chosen basis, dim); trail[p] holds, at each state's
+    coordinates in that basis, the letter that first reached it at its least
+    weight.  The XOR transitions are invertible, so each step undoes that
+    letter and certifies that the predecessor lies in front p."""
     letters = []
+    i = fronts[-1][0].solve(key)
     for p in range(len(fronts) - 2, -1, -1):
-        i = gather(key, fronts[p + 1][1])
-        li = int(trail[p + 1][i >> 2]) >> (2 * (i & 3)) & 3
+        packed = trail[p + 1]
+        li = int(packed[i % len(packed)]) >> (2 * (i // len(packed))) & 3
         key ^= contribs[p][li]
-        pbasis, ppivots = fronts[p]
-        certify(combine(gather(key, ppivots), pbasis) == key,
+        ech, dim = fronts[p]
+        i = ech.solve(key)
+        certify(i is not None and not i >> dim,
                 f"DP predecessor at position {p} is not in its front")
         letters.append(li)
     letters.reverse()
     return letters
+
+
+def _letter_step(keys: "np.ndarray", d: int, t: int, moves: Sequence[int]) -> "np.ndarray":
+    """Keys of the grown front as a (2^t, R) array: row a is the minimum over
+    letters of the front's row a ^ moves[letter] plus the letter's cost.  The
+    front is the grown front's rows below 2^d; a source row at or above it
+    is a new direction that no state reaches yet, and is skipped."""
+    old = keys.reshape(1 << d, -1)
+    grown = np.empty((1 << t, old.shape[1]), dtype=np.uint16)
+    tmp = np.empty(old.shape[1], dtype=np.uint16)
+    for a, row in enumerate(grown):
+        reached = False
+        for cost, move in zip(_COSTS, moves):
+            src = a ^ move
+            if src >> d:
+                continue
+            if reached:
+                np.minimum(row, np.add(old[src], cost, out=tmp), out=row)
+            else:
+                np.add(old[src], cost, out=row)
+                reached = True
+    return grown
 
 
 def distance_dp(
@@ -266,19 +301,25 @@ def distance_dp(
 
     Every reachable state is reached, so each front is a GF(2) subspace
     (the previous front plus the letters' contributions, cut to the states
-    whose closing bits are zero).  A front is held as its reduced basis with
-    highest-bit pivots and a uint16 key array indexed by the basis
-    coordinates of each state, which is ascending state order; letters act
-    by XOR on those coordinates and closing rows by a linear filter, so no
-    pass sorts.  The bases alone fix every front's size, so the state cap is
-    checked before any keys are built.
+    whose closing bits are zero).  A front is held as a basis chosen for
+    the next position and a uint16 key array indexed by each state's
+    coordinates in that basis.  The letters of position p span V =
+    span{X, Z} (Y = X ^ Z); the chosen basis puts a basis of V ∩ front in
+    its top coordinates, and the directions of V new to the front go above
+    them, so every letter moves only the top t <= 2 coordinates of the grown
+    front and acts on whole contiguous blocks of keys.  One gather per
+    position, read in blocks, then takes the next front, in its own chosen
+    basis, out of the grown front, which also drops the states whose closing
+    bits are set.  The bases alone fix every front's size, so the state cap
+    is checked before any keys are built.
 
     A key is (w << 2) | letter: w the state's least weight, letter (0..3 for
     I, X, Y, Z) the first in that order reaching it at w, so one minimum per
     letter finds both.  Only the current front's keys stay live; the trail
     keeps each front's letters, 2 bits per state, and the witness is rebuilt
-    backward from them.  A code with more qubits than the 14-bit weight
-    field holds raises CapacityError.
+    backward from them.  Among the target states of least weight the least
+    state is picked.  A code with more qubits than the 14-bit weight field
+    holds raises CapacityError.
     """
     st = get_structure(code)
     st.check_mode(mode)
@@ -331,81 +372,70 @@ def distance_dp(
         closes.append(close)
 
     # the fronts follow from GF(2) algebra alone, so every front size is
-    # checked against the state cap before any weight array is built;
-    # fronts[p] is the front before position p as (basis, pivot mask), the
-    # basis fully reduced with ascending highest-bit pivots
-    fronts: List[Tuple[List[int], int]] = [([], 0)]
+    # checked against the state cap before any key array is built.  basis is
+    # front p's chosen basis, its top d vectors a basis of V ∩ front;
+    # fronts[p] is its Echelon, tagged over the grown basis (basis, then V's
+    # new directions), which gives the letters' and the next front's
+    # coordinates and serves the backward walk
+    fronts = []
     steps = []
+    basis: List[int] = []
+    d = 0
     peak = 1
     for p in range(n):
-        basis, pivots = fronts[p]
-        # (a) grow: the front plus span{X, Z} contributions (Y = X ^ Z)
+        _, cx, cy, cz = contribs[p]
+        ech = Echelon(basis, nbits)
         grown = list(basis)
-        inserts = []
-        for c in (contribs[p][1], contribs[p][3]):
-            r = c ^ combine(gather(c, pivots), grown)
-            if r:
-                pivots, slot, carried = _top_insert(grown, pivots, r)
-                inserts.append((slot, carried))
-        # (c) closing rows keep the coordinates i with combine(i, grown) & close == 0
+        for v in (cx, cz):
+            if ech.solve(v) is None:  # extend only independent rows: tags stay in order
+                ech.extend((v,))
+                grown.append(v)
+        fronts.append((ech, len(basis)))
+        t = d + len(grown) - len(basis)
+        low = len(grown) - t
+        moves = [0] + [ech.solve(v) >> low for v in (cx, cy, cz)]
+        # closing rows keep the coordinates x with combine(x, grown) & close == 0
         close = closes[p]
-        kept_basis: List[int] = []
-        kept_pivots = 0
-        for v in left_kernel([b & close for b in grown], close.bit_length()):
-            r = v ^ combine(gather(v, kept_pivots), kept_basis)
-            kept_pivots = _top_insert(kept_basis, kept_pivots, r)[0]
-        size = 1 << len(kept_basis)
+        kernel = left_kernel([g & close for g in grown], close.bit_length())
+        size = 1 << len(kernel)
         peak = max(peak, size)
         if size > budgets.dp_state_cap:
             raise CapacityError(
                 f"transfer DP front has {size} states at position {p}",
                 required=size, cap=budgets.dp_state_cap,
             )
-        steps.append((inserts, pivots, kept_basis))
-        front = [combine(i, grown) for i in kept_basis]
-        fronts.append((front, sum(1 << (b.bit_length() - 1) for b in front)))
+        # the next front's chosen basis: a basis of V_{p+1} ∩ front on top
+        shared = []
+        if p + 1 < n:
+            inside = [ech.solve(v) for v in contribs[p + 1][1:] if v and not v & close]
+            shared = extend_basis((), (x for x in inside if x is not None))
+        coords = extend_basis(shared, kernel) + shared
+        steps.append((d, t, moves, coords))
+        basis = [combine(x, grown) for x in coords]
+        d = len(shared)
+    fronts.append((Echelon(basis, nbits), len(basis)))
 
     # keys[i] is the key of the state combine(i, basis) of the current
     # front; trail[p] keeps only the letters of fronts[p], packed
     keys = np.zeros(1, dtype=np.uint16)
     trail = [_pack_letters(keys)]
-    for p, (inserts, pivots, kept_basis) in enumerate(steps):
+    for d, t, moves, coords in steps:
         keys &= ~np.uint16(3)  # the trail holds the letters; steps read weights
-        # a new basis vector doubles the coordinates; an old state keeps its
-        # own bit at the new pivot, and the other half starts unreached
-        for slot, carried in inserts:
-            lo = 1 << slot
-            old = keys.reshape(-1, lo)
-            out = np.full((old.shape[0], 2, lo), _UNREACHED, dtype=np.uint16)
-            if carried:
-                bit = (np.bitwise_count(np.arange(len(keys)) & carried) & 1).astype(bool)
-                bit = bit.reshape(old.shape)
-                out[:, 0, :] = np.where(bit, _UNREACHED, old)
-                out[:, 1, :] = np.where(bit, old, _UNREACHED)
-            else:
-                out[:, 0, :] = old
-            keys = out.reshape(-1)
-        # (b) letters, read from the grown front before any of them applies;
-        # ties keep the earlier letter, whose key is smaller;
-        # (c) the close filter keeps ascending order
-        kept = _span(kept_basis)
-        new = keys[kept]
-        for li, c in enumerate(contribs[p][1:], 1):
-            np.minimum(new, keys[kept ^ gather(c, pivots)] + (4 + li), out=new)
-        certify(len(new) == 1 << len(kept_basis) and int(new.max()) < _UNREACHED,
-                f"DP front at position {p} is not a fully reached subspace")
-        trail.append(_pack_letters(new))
-        keys = new
+        grown = _letter_step(keys, d, t, moves).reshape(-1)
+        keys = None  # freed before the gather
+        keys = _gather_span(grown, coords)
+        del grown
+        trail.append(_pack_letters(keys))
 
     weights = keys >> 2
-    states = _span(fronts[n][0])
+    states = _span(basis)
     sel = ((states >> det_width) & targets) != 0
     # every used class is carried by some logical, so some state reaches it
     certify(sel.any(), "DP front holds no target class")
     cand = np.flatnonzero(sel)
-    best_i = cand[int(np.argmin(weights[cand]))]
-    best_w = int(weights[best_i])
-    letters = _dp_witness(fronts, trail, contribs, int(states[best_i]))
+    best_w = int(weights[cand].min())
+    best = int(states[cand[weights[cand] == best_w]].min())
+    letters = _dp_witness(fronts, trail, contribs, best)
     witness = PauliOp.from_letters(
         n, [(order[p], _LETTERS[li - 1]) for p, li in enumerate(letters) if li]
     )
@@ -500,24 +530,18 @@ def barrier_walk_bound(
     witness: PauliOp,
     schedule: str = "row_by_row",
     axis: int = 0,
-    order: Optional[Sequence[int]] = None,
 ) -> BarrierResult:
     """Energy ceiling of the walk implementing the witness letter by letter.
 
     row_by_row applies the letters in cross-coordinate-major order (the walk
     sweeps along the witness string so only its moving front costs energy);
-    arbitrary applies them in qubit-index order; an explicit order wins.
+    arbitrary applies them in qubit-index order.
     """
     st = get_structure(code)
     if not st.is_logical(witness):
         raise ContractViolation("walk witness is not a logical operator")
     support = witness.support()
-    if order is not None:
-        if sorted(order) != support:
-            raise ContractViolation("explicit order must permute the witness support")
-        ordered = list(order)
-        method = "walk_given_order"
-    elif schedule == "row_by_row":
+    if schedule == "row_by_row":
         def key(q):
             a = code.anchor(q)
             cross = tuple(a[j] for j in range(code.lattice.D) if j != axis)

@@ -260,13 +260,6 @@ def make_steane_chain(n_blocks: int) -> CodeSpec:
     )
 
 
-def steane_collective_logicals(code: CodeSpec) -> Tuple[PauliOp, PauliOp]:
-    """The designated collective pair (X on all qubits, Z on all qubits)."""
-    n = code.n
-    full = (1 << n) - 1
-    return PauliOp(n, full, 0), PauliOp(n, 0, full)
-
-
 FAMILIES = {
     "repetition": lambda L, boundary=OPEN: make_repetition_1d(L, boundary),
     "toric": lambda L: make_toric_2d(L),

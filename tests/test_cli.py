@@ -132,9 +132,11 @@ def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     ["barrier", "--code", "{code}", "--method", "exact", "--axis", "7"],
     ["barrier", "--code", "{code}", "--method", "walk", "--node-cap", "1"],
     ["barrier", "--code", "{code}", "--method", "exact", "--schedule", "arbitrary"],
+    ["barrier", "--code", "{code}", "--class-mask", "-1"],
 ], ids=["L_not_integer", "L_two_ranges", "site_empty_coordinate", "code_is_directory",
         "L_empty_range", "jobs_zero", "jobs_negative", "class_mask_with_walk",
-        "exact_barrier_bad_axis", "node_cap_with_walk", "schedule_with_exact"])
+        "exact_barrier_bad_axis", "node_cap_with_walk", "schedule_with_exact",
+        "class_mask_negative"])
 def test_malformed_cli_input_exit_1(bs3_file, tmp_path, capsys, argv):
     argv = [a.format(code=bs3_file, dir=tmp_path) for a in argv]
     assert main(argv) == 1

@@ -181,10 +181,10 @@ def test_walk_bound_explicit_order():
     code = make_repetition_1d(5)
     st = get_structure(code)
     xbar = st.logicals.pairs[0][0]
-    res = barrier_walk_bound(code, xbar, order=[4, 3, 2, 1, 0])
-    assert res.value == 2
-    with pytest.raises(ContractViolation):
-        barrier_walk_bound(code, xbar, order=[0, 1])
+    # a walk in an order of one's own is WalkTrace.build on that order
+    trace = WalkTrace.build(st, [(q, xbar.letter(q)) for q in (4, 3, 2, 1, 0)])
+    assert trace.final == xbar
+    assert trace.eps_max == 2
 
 
 @pytest.mark.parametrize("engine", [
@@ -205,14 +205,14 @@ def test_removed_search_options():
     # each question has one way to ask it: the barrier engines search the
     # subsystem targets only, and Budgets.weight_cap is the one enumeration cap
     for fn, name in ((barrier_exact, "mode"), (barrier_walk_bound, "mode"),
+                     (barrier_walk_bound, "order"),
                      (distance, "weight_cap"), (distance_bruteforce, "weight_cap")):
         assert name not in inspect.signature(fn).parameters, (fn.__name__, name)
     with pytest.raises(TypeError):
         barrier_exact(make_repetition_1d(3), mode="subsystem")
 
 
-@pytest.mark.parametrize("mask", [0, 0b110000], ids=["zero", "above_2k"])
-@pytest.mark.parametrize("engine", [
+MASKED_ENGINES = pytest.mark.parametrize("engine", [
     lambda code, mask: distance_dp(code, class_mask=mask),
     lambda code, mask: distance_bruteforce(code, budgets=Budgets(weight_cap=3), class_mask=mask),
     lambda code, mask: linear_distance(code, class_mask=mask),
@@ -221,9 +221,22 @@ def test_removed_search_options():
                                                       class_mask=mask),
 ], ids=["distance_dp", "distance_bruteforce", "linear_distance", "barrier_exact",
         "is_logical"])
+
+
+@pytest.mark.parametrize("mask", [0, 0b110000], ids=["zero", "above_2k"])
+@MASKED_ENGINES
 def test_class_mask_selecting_no_pair_rejected(engine, mask):
     # toric 3 has k = 2, so class bits 0..3 name its two used pairs
     with pytest.raises(ValidationError, match="selects none of the 2 used logical pairs"):
+        engine(make_toric_2d(3), mask)
+
+
+@pytest.mark.parametrize("mask", [-1, -2], ids=["minus_1", "minus_2"])
+@MASKED_ENGINES
+def test_negative_class_mask_rejected(engine, mask):
+    # as a Python int, -1 has every bit set and -2 every bit from 1 up, so
+    # read as masks they would select every pair or all but the first class
+    with pytest.raises(ValidationError, match=f"class mask {mask} is negative"):
         engine(make_toric_2d(3), mask)
 
 

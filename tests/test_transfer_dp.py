@@ -1,6 +1,6 @@
 """The transfer DP (`metrics.distance_dp`): a SHA-256 pin over its outcomes on
-the small zoo, its capacity limits, its certified backward walk and its
-memory.
+the small zoo, its capacity limits, its certified backward walk, its memory,
+and the letter cases the zoo never reaches, against brute force.
 
 The pin was recorded with the sorting engine that the subspace engine
 replaced; it fixes every value, status, witness (in lattice coordinates),
@@ -10,12 +10,25 @@ and class masks, so the two engines are byte-identical on all of them.
 
 import hashlib
 import json
+import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from conftest import run_optimized
 
-from latstab import Budgets, distance_dp, make_surface_2d, make_toric_2d, metrics
+from latstab import (
+    Budgets,
+    CodeSpec,
+    Lattice,
+    PauliOp,
+    distance_bruteforce,
+    distance_dp,
+    get_structure,
+    make_surface_2d,
+    make_toric_2d,
+    metrics,
+)
 from latstab.errors import CapacityError, CertificateError, LatstabError
 from latstab.zoo import FAMILIES
 
@@ -116,15 +129,63 @@ def test_corrupted_letter_trail_raises_under_optimize():
     assert run_optimized(script) == ["True", "False"]
 
 
-def test_surface7_traced_peak_stays_small():
-    # numpy reports its buffers to tracemalloc, so the peak is deterministic;
-    # it was 6.35 MiB with a uint16 weight trail and is ~2.2 MiB with letters
-    code = make_surface_2d(7)
-    assert distance_dp(code).stats["front_peak"] == 65536  # warm the structure
+@pytest.mark.parametrize("L, front_peak, bound_mib", [(7, 65536, 3.5), (8, 262144, 7)],
+                         ids=["surface7", "surface8"])
+def test_traced_peak_stays_small(L, front_peak, bound_mib):
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+    # Surface 7 read 6.35 MiB with a uint16 weight trail and 2.17 MiB with
+    # letters; surface 8 read 9.37 MiB while each position built full int64
+    # index arrays, ~4.8 MiB with blocked gathers from the chosen bases
+    code = make_surface_2d(L)
+    assert distance_dp(code).stats["front_peak"] == front_peak  # warm the structure
     tracemalloc.start()
     try:
         distance_dp(code)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 2**20
+    assert peak < bound_mib * 2**20
+
+
+def _random_local_gauge_codes(seed, count):
+    """Gauge codes on a chain with generators of weight 1 to 3 on
+    neighbouring qubits, k > 0."""
+    rng = random.Random(seed)
+    built = 0
+    while built < count:
+        n = rng.randint(2, 6)
+        gens = []
+        for _ in range(rng.randint(1, 6)):
+            q = rng.randrange(n)
+            letters = [(q + i, rng.choice("XYZ")) for i in range(rng.randint(1, 3)) if q + i < n]
+            gens.append(PauliOp.from_letters(n, letters))
+        code = CodeSpec(f"letters{built}", Lattice(1, n), "gauge", 3, gens)
+        if get_structure(code).k:
+            built += 1
+            yield code
+
+
+def test_degenerate_letter_cases_match_bruteforce(monkeypatch):
+    # a position's letters span V = span{X, Z}; its letter step sees
+    # (dim V ∩ front, directions of V new to the front).  Zoo positions have
+    # three distinct nonzero letters, so only (0, 2), (1, 1) and (2, 0) occur
+    # there; a weight-1 generator (Z = 0, Y = X) or a qubit whose letters are
+    # all gauge (V = 0) gives the others
+    seen = set()
+    step = metrics._letter_step
+
+    def spy(keys, d, t, moves):
+        seen.add((d, t - d))
+        return step(keys, d, t, moves)
+
+    monkeypatch.setattr(metrics, "_letter_step", spy)
+    for code in _random_local_gauge_codes(7, 60):
+        st = get_structure(code)
+        masks = [None] + [1 << b for b in range(2 * st.k)]
+        for mode, mask in product(("subsystem", "bare"), masks):
+            dp = distance_dp(code, mode=mode, class_mask=mask)
+            bf = distance_bruteforce(code, mode, mask, Budgets(weight_cap=code.n))
+            assert dp.value == bf.value, (code.name, mode, mask)
+            assert dp.witness.weight() == dp.value
+            assert st.is_logical(dp.witness, mode, mask)
+    assert seen == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
