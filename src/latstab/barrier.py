@@ -26,7 +26,7 @@ import numpy as np
 from .codes import CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import CapacityError, CertificateError, ValidationError, certify
-from .gf2 import Echelon, pairings, parity
+from .gf2 import Echelon, pairings
 from .groups import CodeStructure, get_structure
 from .metrics import BarrierResult, WalkTrace
 from .pauli import PauliOp, omega
@@ -51,14 +51,10 @@ class _Quotient:
         # blind to S, else cosets would mix energies or target status
         for q in st.S.rows:
             qo = omega(q, n)
-            for g in st.gen_vectors:
-                if parity(g & qo):
-                    raise ValidationError(
-                        "quotient unsound: a Hamiltonian term anticommutes with S"
-                    )
-            for u in u_rows:
-                if parity(u & qo):
-                    raise ValidationError("quotient unsound: label functional sees S")
+            if pairings(qo, st.gen_vectors):
+                raise ValidationError("quotient unsound: a Hamiltonian term anticommutes with S")
+            if pairings(qo, u_rows):
+                raise ValidationError("quotient unsound: label functional sees S")
         # every Hamiltonian term over the label basis, from one factorization
         basis = Echelon(u_rows, 2 * n)
         self.gen_masks = []

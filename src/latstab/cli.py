@@ -2,8 +2,9 @@
 
 Every subcommand writes a deterministic JSON report (stable key order, no
 timestamps) so reruns on identical input are byte-identical.  Exit codes:
-0 success, 2 when any audited bound fails to hold (which would falsify the
-implementation), 1 for usage, validation and capacity errors.
+0 success (also for --help and --version), 2 when any audited bound fails to
+hold (which would falsify the implementation), 1 for usage errors, a command
+line the parser rejects included, and for validation and capacity errors.
 """
 
 from __future__ import annotations
@@ -170,8 +171,18 @@ def _parse_L(spec: str) -> List[int]:
 _ALL_BUDGETS = ("--weight-cap", "--node-cap", "--mem-budget")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose rejected command lines exit 1, like every
+    other usage error, rather than argparse's 2, which here means a failed
+    bound.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="latstab",
         description="analysis of geometrically-local stabilizer/subsystem codes",
     )

@@ -119,10 +119,14 @@ class CosetReducer:
 
     Exact when the rows span at most 2^_MAX_COSET_ENUM_RANK elements: the
     span is laid out once, at construction, as 2W uint64 word columns of
-    length 2^rank (W = ceil(n/64) little-endian X words, then W Z words), and
-    each call weighs every candidate vec ^ s at once, one word column at a
-    time into preallocated buffers.  Greedy descent over the rows otherwise.
-    Tie-break: lexicographically smallest vector.
+    length 2^rank (W = ceil(n/64) little-endian X words, then W Z words),
+    next to each element's weight in uint16.  A call weighs vec ^ s only for
+    the span elements s with wt(s) <= 2 wt(vec).  That is exact: supp(s) lies
+    in supp(vec) ∪ supp(vec ^ s), so wt(s) > 2 wt(vec) gives wt(vec ^ s) >
+    wt(vec) = wt(vec ^ 0), and the bound keeps its ties, so the least
+    (weight, vector) is the one over the whole span; a bound below the least
+    nonzero span weight returns vec at once.  Greedy descent over the rows
+    otherwise.  Tie-break: lexicographically smallest vector.
     """
 
     def __init__(self, rows: Sequence[int], n: int):
@@ -141,9 +145,12 @@ class CosetReducer:
                 for col, word in zip(span, self._words(r)):
                     col[1 << i:2 << i] = col[:1 << i] ^ word
             self.span = span
-            self._x = np.empty(size, dtype=_WORD)
-            self._z = np.empty(size, dtype=_WORD)
-            self._weights = np.empty(size, dtype=np.uint32)
+            # a weight past 2^16 wraps in uint16 and so only adds candidates
+            W = self.nwords
+            self.weights = np.zeros(size, dtype=np.uint16)
+            for w in range(W):
+                self.weights += np.bitwise_count(span[w] | span[W + w])
+            self.least = int(self.weights[1:].min(initial=0xFFFF))
 
     def _words(self, v: int) -> np.ndarray:
         packed = (v & ((1 << self.n) - 1)) | ((v >> self.n) << (64 * self.nwords))
@@ -154,13 +161,16 @@ class CosetReducer:
             return self._greedy(vec)
         W = self.nwords
         words = self._words(vec)
-        weights = self._weights
-        weights.fill(0)
+        bound = 2 * _weight(vec, self.n)
+        if bound < self.least:  # no nonzero span element is light enough
+            return vec
+        idx = np.flatnonzero(self.weights <= bound)
+        weights = np.zeros(len(idx), dtype=np.int64)
         for w in range(W):
-            x = np.bitwise_xor(self.span[w], words[w], out=self._x)
-            z = np.bitwise_xor(self.span[W + w], words[W + w], out=self._z)
-            weights += np.bitwise_count(np.bitwise_or(x, z, out=x))
-        idx = np.flatnonzero(weights == weights.min())
+            x = self.span[w][idx] ^ words[w]
+            x |= self.span[W + w][idx] ^ words[W + w]
+            weights += np.bitwise_count(x)
+        idx = idx[weights == weights.min()]
         lightest = np.stack([col[idx] for col in self.span], axis=1) ^ words
         # Z words sit above X words and x < 2^n, so the packed words order
         # like the vectors they encode
@@ -169,46 +179,44 @@ class CosetReducer:
 
     def _greedy(self, vec: int) -> int:
         n = self.n
-
-        def wt(v):
-            return ((v & ((1 << n) - 1)) | (v >> n)).bit_count()
-
         improved = True
         best = vec
-        bw = wt(vec)
+        bw = _weight(vec, n)
         while improved:
             improved = False
             for r in self.rows:
                 cand = best ^ r
-                cw = wt(cand)
+                cw = _weight(cand, n)
                 if cw < bw or (cw == bw and cand < best):
                     best, bw = cand, cw
                     improved = True
         return best
 
 
+def _weight(v: int, n: int) -> int:
+    """Number of qubits on which the 2n-bit vector v acts."""
+    return ((v & ((1 << n) - 1)) | (v >> n)).bit_count()
+
+
 def _symplectic_pairs(vectors: List[int], n: int) -> List[Tuple[int, int]]:
     """Greedy symplectic Gram-Schmidt over a set of vectors on which the form
-    is nondegenerate modulo the ambient radical."""
-    def sp(u, v):
-        return gf2.parity(u & omega(v, n))
-
+    is nondegenerate modulo the ambient radical.  The form is symmetric, so
+    each chosen vector's omega is taken once and paired with the pool."""
     pool = list(vectors)
     out = []
     while pool:
         v = pool.pop(0)
-        partner = None
-        for i, u in enumerate(pool):
-            if sp(v, u):
-                partner = pool.pop(i)
-                break
-        if partner is None:
+        ov = omega(v, n)
+        i = next((i for i, u in enumerate(pool) if gf2.parity(u & ov)), None)
+        if i is None:
             raise ValidationError("degenerate symplectic form on logical candidates")
+        partner = pool.pop(i)
+        op = omega(partner, n)
         cleaned = []
         for u in pool:
-            if sp(u, partner):
+            if gf2.parity(u & op):
                 u ^= v
-            if sp(u, v):
+            if gf2.parity(u & ov):
                 u ^= partner
             cleaned.append(u)
         pool = cleaned

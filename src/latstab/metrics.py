@@ -33,17 +33,7 @@ from .errors import (
     certify,
 )
 from .geometry import axis_windows
-from .gf2 import (
-    Echelon,
-    combine,
-    extend_basis,
-    gather,
-    left_kernel,
-    nullspace,
-    pairings,
-    parity,
-    scatter,
-)
+from .gf2 import combine, gather, low_bit, nullspace, pairings, scatter
 from .groups import CodeStructure, get_structure
 from .pauli import PauliOp
 
@@ -240,26 +230,130 @@ def _pack_letters(keys: "np.ndarray") -> "np.ndarray":
     return out
 
 
-def _dp_witness(fronts, trail, contribs, key: int) -> List[int]:
-    """Letters (0..3 for I, X, Y, Z) of the path reaching ``key`` in the last
-    front, rebuilt backward.  fronts[p] is (a tagged Echelon whose first dim
-    rows are front p's chosen basis, dim); trail[p] holds, at each state's
-    coordinates in that basis, the letter that first reached it at its least
-    weight.  The XOR transitions are invertible, so each step undoes that
-    letter and certifies that the predecessor lies in front p."""
+def _dp_witness(steps, trail, dims, i: int) -> List[int]:
+    """Letters (0..3 for I, X, Y, Z) of the path reaching the state with
+    coordinates ``i`` in the last front, rebuilt backward.  trail[p] holds, at
+    each state's coordinates in front p's chosen basis, the letter that first
+    reached it at its least weight; dims[p] is front p's dimension and
+    steps[p] = (d, t, moves, coords) its step, coords giving the next front's
+    basis in coordinates of the grown front p.  The XOR transitions are
+    invertible, so each step undoes that letter's move on the top coordinates
+    and certifies that the predecessor lies in front p, below 2^dims[p]."""
     letters = []
-    i = fronts[-1][0].solve(key)
-    for p in range(len(fronts) - 2, -1, -1):
+    for p in range(len(steps) - 1, -1, -1):
         packed = trail[p + 1]
         li = int(packed[i % len(packed)]) >> (2 * (i // len(packed))) & 3
-        key ^= contribs[p][li]
-        ech, dim = fronts[p]
-        i = ech.solve(key)
-        certify(i is not None and not i >> dim,
-                f"DP predecessor at position {p} is not in its front")
+        d, _, moves, coords = steps[p]
+        i = combine(i, coords) ^ moves[li] << (dims[p] - d)
+        certify(not i >> dims[p], f"DP predecessor at position {p} is not in its front")
         letters.append(li)
     letters.reverse()
     return letters
+
+
+class _FrontEchelon:
+    """Reduced echelon of a DP front over GF(2)^nbits, each row tagged by its
+    coordinates in the front's basis, that serves the DP's algebra pass.
+
+    The rows sit side by side in one int, row k in the 2 * nbits bits from
+    2 * nbits * k: data bits below nbits, coordinates above (a front has at
+    most nbits of them).  Each row's pivot is a data bit set in that row
+    only, so solving reads the rows at the target's own pivot bits, and every
+    operation on all rows at once (clearing a pivot, cutting a close bit,
+    moving to the next basis) is a few operations on that int.
+    """
+
+    def __init__(self, nbits: int):
+        self.nbits = nbits
+        self.width = w = 2 * nbits
+        self.field = (1 << w) - 1
+        self.ones = sum(1 << (w * k) for k in range(nbits))  # bit 0 of each row
+        self.data = ((1 << nbits) - 1) * self.ones
+        self.rows = 0
+        self.slot: dict = {}  # pivot -> row index
+        self.pivot: dict = {}  # row index -> pivot
+        self.free = list(range(nbits - 1, -1, -1))
+
+    def _reduce(self, v: int) -> int:
+        """v plus the rows at its pivot bits: zero at every pivot."""
+        rest = v
+        while rest:
+            low = rest & -rest
+            k = self.slot.get(low.bit_length() - 1)
+            if k is not None:
+                v ^= self.rows >> (self.width * k) & self.field
+            rest ^= low
+        return v
+
+    def solve(self, v: int) -> Optional[int]:
+        """Coordinates of v, or None when v lies outside the front."""
+        t = self._reduce(v)
+        return None if t & ((1 << self.nbits) - 1) else t >> self.nbits
+
+    def extend(self, v: int, coord: int) -> None:
+        """Add v, outside the front, as the basis vector at ``coord``."""
+        t = self._reduce(v) | 1 << (self.nbits + coord)
+        pv = low_bit(t)
+        self.rows ^= (self.rows >> pv & self.ones) * t
+        k = self.free.pop()
+        self.rows |= t << (self.width * k)
+        self.slot[pv] = k
+        self.pivot[k] = pv
+
+    def cut(self, bit: int) -> None:
+        """Keep the states whose data ``bit`` is zero: the first row holding
+        it is XORed into the others holding it and dropped."""
+        sel = self.rows >> bit & self.ones
+        if sel:
+            k = low_bit(sel) // self.width
+            self.rows ^= sel * (self.rows >> (self.width * k) & self.field)  # row k cancels
+            del self.slot[self.pivot.pop(k)]
+            self.free.append(k)
+
+    def move(self, runs, fixes) -> None:
+        """Rewrite every row's coordinates as _moved does."""
+        rows, nbits, ones = self.rows, self.nbits, self.ones
+        out = rows & self.data
+        for mask, shift in runs:
+            out |= (rows & (mask << nbits) * ones) >> shift
+        for pb, z in fixes:
+            out ^= (rows >> (nbits + pb) & ones) * (z << nbits)
+        self.rows = out
+
+
+def _basis_move(gone: int, tops, base: int, width: int):
+    """(runs, fixes) of the move from a cut-front state's grown coordinates x
+    (below 2^width) to its coordinates in the next basis: x's kept
+    coordinates (the set bits of gone removed, the bits above each moved
+    down), less the tops whose pivots x sets, plus bit base + a for each such
+    top a.  tops is a reduced list of (pivot, grown coordinates, vector),
+    each pivot set in its own top only, so each top lands on its own top
+    coordinate."""
+    runs = []  # (mask, shift) of each run of kept coordinates
+    lo = shift = 0
+    rest = gone
+    while rest:
+        b = low_bit(rest)
+        if b > lo:
+            runs.append(((1 << b) - (1 << lo), shift))
+        lo = b + 1
+        shift += 1
+        rest &= rest - 1
+    runs.append(((1 << width) - (1 << lo), shift))
+    fixes = [(pb, _moved(x, runs, ()) | 1 << (base + a)) for a, (pb, x, _) in enumerate(tops)]
+    return runs, fixes
+
+
+def _moved(x: int, runs, fixes) -> int:
+    """Coordinates x under _basis_move's (runs, fixes): the runs' bits moved
+    down, then z added for each (pivot, z) in fixes whose pivot x sets."""
+    y = 0
+    for mask, shift in runs:
+        y |= (x & mask) >> shift
+    for pb, z in fixes:
+        if x >> pb & 1:
+            y ^= z
+    return y
 
 
 def _letter_step(keys: "np.ndarray", d: int, t: int, moves: Sequence[int]) -> "np.ndarray":
@@ -310,16 +404,24 @@ def distance_dp(
     front and acts on whole contiguous blocks of keys.  One gather per
     position, read in blocks, then takes the next front, in its own chosen
     basis, out of the grown front, which also drops the states whose closing
-    bits are set.  The bases alone fix every front's size, so the state cap
-    is checked before any keys are built.
+    bits are set.
+
+    The bases alone fix every front's size, so the state cap is checked
+    before any keys are built.  They come from one reduced echelon of the
+    front, tagged by coordinates in its basis (_FrontEchelon), carried through
+    the sweep: each position extends it by V's new directions, cuts it by the
+    closing bits, solves the next position's letters in it and moves its tags
+    to the next basis.  That basis is the cut front's basis (unit coordinates
+    of the grown basis, but where a closing bit XORed one vector into others)
+    with V_{p+1} ∩ front on top, in place of as many of its vectors.
 
     A key is (w << 2) | letter: w the state's least weight, letter (0..3 for
     I, X, Y, Z) the first in that order reaching it at w, so one minimum per
     letter finds both.  Only the current front's keys stay live; the trail
     keeps each front's letters, 2 bits per state, and the witness is rebuilt
-    backward from them.  Among the target states of least weight the least
-    state is picked.  A code with more qubits than the 14-bit weight field
-    holds raises CapacityError.
+    backward from them in coordinates (_dp_witness).  Among the target states
+    of least weight the least state is picked.  A code with more qubits than
+    the 14-bit weight field holds raises CapacityError.
     """
     st = get_structure(code)
     st.check_mode(mode)
@@ -338,10 +440,17 @@ def distance_dp(
     det_rows = [r for r in _detector_rows(st, mode) if r]
     mask_n = (1 << n) - 1
 
+    # each row's window of positions, and the rows touching each qubit
+    touching: List[List[int]] = [[] for _ in range(n)]
     first, last = [], []
-    for row in det_rows:
+    for i, row in enumerate(det_rows):
         supp = (row & mask_n) | (row >> n)
-        ps = [pos_of[q] for q in range(n) if (supp >> q) & 1]
+        ps = []
+        while supp:
+            q = low_bit(supp)
+            touching[q].append(i)
+            ps.append(pos_of[q])
+            supp &= supp - 1
         first.append(min(ps))
         last.append(max(ps))
     bit_of, det_width = _color_intervals(first, last)
@@ -352,71 +461,121 @@ def distance_dp(
             required=nbits, cap=62,
         )
 
-    # per position: letter contribution masks and the close mask
+    # per position: letter contributions (I, X, Y, Z) and the close mask.  A
+    # row without q pairs to 0 with every letter on q, so only the rows
+    # touching q contribute; Y pairs like X and Z together
     contribs = []
-    closes = []
-    for p, q in enumerate(order):
-        row_ids = [i for i in range(len(det_rows)) if first[i] <= p <= last[i]]
-        per_letter = [0]
-        for letter in _LETTERS:
-            v = PauliOp.single(n, q, letter).vector
-            c = 0
-            for i in row_ids:
-                c |= parity(v & det_rows[i]) << bit_of[i]
-            per_letter.append(c | st.class_bits_vec(v) << det_width)
-        contribs.append(per_letter)
-        close = 0
-        for i in range(len(det_rows)):
-            if last[i] == p:
-                close |= 1 << bit_of[i]
-        closes.append(close)
+    for q in order:
+        cx = st.class_bits_vec(1 << q) << det_width
+        cz = st.class_bits_vec(1 << (n + q)) << det_width
+        for i in touching[q]:
+            cx |= (det_rows[i] >> q & 1) << bit_of[i]
+            cz |= (det_rows[i] >> (n + q) & 1) << bit_of[i]
+        contribs.append((0, cx, cx ^ cz, cz))
+    closes = [0] * n
+    for i, p in enumerate(last):
+        closes[p] |= 1 << bit_of[i]
 
-    # the fronts follow from GF(2) algebra alone, so every front size is
-    # checked against the state cap before any key array is built.  basis is
-    # front p's chosen basis, its top d vectors a basis of V ∩ front;
-    # fronts[p] is its Echelon, tagged over the grown basis (basis, then V's
-    # new directions), which gives the letters' and the next front's
-    # coordinates and serves the backward walk
-    fronts = []
-    steps = []
+    # the algebra pass, before any key array exists.  basis is front p's
+    # chosen basis, its top d vectors a basis of V ∩ front, and ech a reduced
+    # echelon of the front tagged by coordinates in basis
+    ech = _FrontEchelon(nbits)
     basis: List[int] = []
+    dims = [0]
+    steps = []
     d = 0
     peak = 1
+    # coordinates in basis of position p's X, Y and Z contributions, None
+    # for one outside the front
+    inside = [ech.solve(v) for v in contribs[0][1:]]
     for p in range(n):
-        _, cx, cy, cz = contribs[p]
-        ech = Echelon(basis, nbits)
+        _, cx, _, cz = contribs[p]
         grown = list(basis)
-        for v in (cx, cz):
-            if ech.solve(v) is None:  # extend only independent rows: tags stay in order
-                ech.extend((v,))
-                grown.append(v)
-        fronts.append((ech, len(basis)))
-        t = d + len(grown) - len(basis)
-        low = len(grown) - t
-        moves = [0] + [ech.solve(v) >> low for v in (cx, cy, cz)]
-        # closing rows keep the coordinates x with combine(x, grown) & close == 0
+        xx, xy, xz = inside
+        if xx is None:  # a new direction, above the basis
+            xx = 1 << len(grown)
+            ech.extend(cx, len(grown))
+            grown.append(cx)
+        if xz is None:
+            if xy is not None:  # Z = X ^ Y
+                xz = xx ^ xy
+            else:
+                xz = 1 << len(grown)
+                ech.extend(cz, len(grown))
+                grown.append(cz)
+        low = len(basis) - d
+        moves = [0] + [x >> low for x in (xx, xx ^ xz, xz)]
+        t = len(grown) - low
+        # cut to the states whose close bits are zero: for each close bit,
+        # the first basis vector holding it is XORed into the others holding
+        # it and leaves (left), and ech is cut the same way.  So the kept
+        # vector j has grown coordinate j and otherwise only coordinates that
+        # left, and a cut-front state's coordinates over the kept vectors are
+        # its grown coordinates at the kept positions
+        vecs = list(grown)
+        xs = [1 << j for j in range(len(grown))]
+        left = 0
         close = closes[p]
-        kernel = left_kernel([g & close for g in grown], close.bit_length())
-        size = 1 << len(kernel)
+        while close:
+            bit = close & -close
+            close ^= bit
+            hit = [j for j, g in enumerate(vecs) if g & bit and not left >> j & 1]
+            if hit:
+                j0 = hit[0]
+                left |= 1 << j0
+                for j in hit[1:]:
+                    vecs[j] ^= vecs[j0]
+                    xs[j] ^= xs[j0]
+                ech.cut(bit.bit_length() - 1)
+        size = 1 << (len(grown) - left.bit_count())
         peak = max(peak, size)
         if size > budgets.dp_state_cap:
             raise CapacityError(
                 f"transfer DP front has {size} states at position {p}",
                 required=size, cap=budgets.dp_state_cap,
             )
-        # the next front's chosen basis: a basis of V_{p+1} ∩ front on top
-        shared = []
+        # the next letters inside the cut front, in grown coordinates (Y is
+        # solved only when X and Z both lie outside), and tops: a reduced
+        # basis of V_{p+1} ∩ front as (pivot, grown coordinates, vector), each
+        # pivot the highest kept coordinate it sets; the kept vector at a
+        # pivot makes way for it
+        inside = [None] * 3
+        tops = []
         if p + 1 < n:
-            inside = [ech.solve(v) for v in contribs[p + 1][1:] if v and not v & close]
-            shared = extend_basis((), (x for x in inside if x is not None))
-        coords = extend_basis(shared, kernel) + shared
+            _, cx, cy, cz = contribs[p + 1]
+            xx, xz = ech.solve(cx), ech.solve(cz)
+            if xx is not None and xz is not None:
+                xy = xx ^ xz
+            else:
+                xy = ech.solve(cy) if xx is None and xz is None else None
+            inside = [xx, xy, xz]
+            for x, v in zip(inside, (cx, cy, cz)):
+                if x is None:
+                    continue
+                for pb, xa, va in tops:
+                    if x >> pb & 1:
+                        x ^= xa
+                        v ^= va
+                if x & ~left:
+                    pb = (x & ~left).bit_length() - 1
+                    tops = [(q, xa ^ x, va ^ v) if xa >> pb & 1 else (q, xa, va)
+                            for q, xa, va in tops]
+                    tops.append((pb, x, v))
+        gone = left | sum(1 << pb for pb, _, _ in tops)
+        kept = [j for j in range(len(grown)) if not gone >> j & 1]
+        coords = [xs[j] for j in kept] + [x for _, x, _ in tops]
         steps.append((d, t, moves, coords))
-        basis = [combine(x, grown) for x in coords]
-        d = len(shared)
-    fronts.append((Echelon(basis, nbits), len(basis)))
+        basis = [vecs[j] for j in kept] + [v for _, _, v in tops]
+        dims.append(len(basis))
+        d = len(tops)
+        # ech and the next letters move from grown to basis coordinates
+        if gone:
+            runs, fixes = _basis_move(gone, tops, len(kept), len(grown))
+            ech.move(runs, fixes)
+            inside = [None if x is None else _moved(x, runs, fixes) for x in inside]
 
     # keys[i] is the key of the state combine(i, basis) of the current
-    # front; trail[p] keeps only the letters of fronts[p], packed
+    # front; trail[p] keeps only the letters of front p, packed
     keys = np.zeros(1, dtype=np.uint16)
     trail = [_pack_letters(keys)]
     for d, t, moves, coords in steps:
@@ -434,8 +593,8 @@ def distance_dp(
     certify(sel.any(), "DP front holds no target class")
     cand = np.flatnonzero(sel)
     best_w = int(weights[cand].min())
-    best = int(states[cand[weights[cand] == best_w]].min())
-    letters = _dp_witness(fronts, trail, contribs, best)
+    cand = cand[weights[cand] == best_w]
+    letters = _dp_witness(steps, trail, dims, int(cand[np.argmin(states[cand])]))
     witness = PauliOp.from_letters(
         n, [(order[p], _LETTERS[li - 1]) for p, li in enumerate(letters) if li]
     )

@@ -151,7 +151,7 @@ def test_barrier_takes_no_enumeration_or_dp_budget(bs3_file, capsys, method):
     argv = ["barrier", "--code", bs3_file, "--method", method]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--weight-cap", "1", "--mem-budget", "1"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments: --weight-cap 1 --mem-budget 1" in capsys.readouterr().err
 
 
@@ -161,7 +161,7 @@ def test_stabilizer_mode_is_not_a_choice(bs3_file, capsys, command):
     # offers only subsystem and bare
     with pytest.raises(SystemExit) as exc:
         main([command, "--code", bs3_file, "--mode", "stabilizer"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "invalid choice: 'stabilizer'" in capsys.readouterr().err
 
 
@@ -238,6 +238,31 @@ def test_audit_exit_2_on_failed_check(tmp_path, monkeypatch, capsys):
 def test_zoo_rejects_bad_family(capsys):
     with pytest.raises(SystemExit):
         main(["zoo", "nosuch", "--L", "3"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["barrier", "--code", "{code}", "--class-mask", "0x"],
+    ["barrier", "--code", "{code}", "--method", "nosuch"],
+    ["distance"],
+    ["nosuch"],
+    [],
+])
+def test_rejected_command_line_exits_1(bs3_file, capsys, argv):
+    # 2 is reserved for a failed bound, so a malformed command line is a
+    # usage error like any other
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(code=bs3_file) for a in argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: latstab") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["barrier", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_bad_budget_env_does_not_break_import_or_version():
@@ -329,7 +354,7 @@ def test_axis_outside_lattice_on_no_logicals_code_exit_1(tmp_path, capsys, comma
 def test_budget_flags_only_where_read(bs3_file, capsys, command, extra, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, "--code", bs3_file, *extra, flag, "5"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 

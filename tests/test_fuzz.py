@@ -127,8 +127,8 @@ def test_cli_exits_with_a_code(code_paths, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             rc = main(argv)
-        except SystemExit as e:  # argparse rejects the command line
-            assert e.code == 2
+        except SystemExit as e:  # the parser rejects the command line
+            assert e.code == 1
             return
     assert rc in (0, 1, 2)
 

@@ -278,6 +278,8 @@ def test_coset_reducer_matches_enumeration_oracle(n):
     (64, 1 << 63, [(1 << 63) | (1 << 64)], 1 << 63),
     # X_2 + span(X_0 X_1, X_1 X_2) holds X_0, X_1, X_2 (weight 1) and X_0 X_1 X_2
     (5, 0b100, [0b011, 0b110], 0b001),
+    # X_3 + span(X_0 X_3): the tie X_0 needs wt(s) = 2 wt(vec), the bound's edge
+    (4, 0b1000, [0b1001], 0b0001),
 ])
 def test_coset_reducer_tie_break_least_vector(n, vec, rows, expected):
     assert CosetReducer(rows, n)(vec) == expected == coset_reduce_oracle(vec, rows, n)

@@ -1,6 +1,7 @@
 """The transfer DP (`metrics.distance_dp`): a SHA-256 pin over its outcomes on
 the small zoo, its capacity limits, its certified backward walk, its memory,
-and the letter cases the zoo never reaches, against brute force.
+the letter cases the zoo never reaches, against brute force, and its packed
+front echelon, against `gf2.Echelon`.
 
 The pin was recorded with the sorting engine that the subspace engine
 replaced; it fixes every value, status, witness (in lattice coordinates),
@@ -30,6 +31,7 @@ from latstab import (
     metrics,
 )
 from latstab.errors import CapacityError, CertificateError, LatstabError
+from latstab.gf2 import Echelon
 from latstab.zoo import FAMILIES
 
 SMALL = Budgets(mem_mb=1)
@@ -189,3 +191,31 @@ def test_degenerate_letter_cases_match_bruteforce(monkeypatch):
             assert dp.witness.weight() == dp.value
             assert st.is_logical(dp.witness, mode, mask)
     assert seen == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
+
+
+def test_front_echelon_matches_echelon():
+    # the DP's packed echelon against gf2.Echelon: coordinates over an
+    # independent basis are unique, so both solve alike, also once the front
+    # is cut to the states with some bits zero and its coordinates moved
+    rnd = random.Random(7)
+    nbits = 8
+    for _ in range(300):
+        front, basis = metrics._FrontEchelon(nbits), []
+        for v in (rnd.getrandbits(nbits) for _ in range(rnd.randrange(1, 12))):
+            if front.solve(v) is None:
+                front.extend(v, len(basis))
+                basis.append(v)
+        zero = rnd.getrandbits(nbits) & rnd.getrandbits(nbits)
+        for bit in range(nbits):
+            if zero >> bit & 1:
+                front.cut(bit)
+        gone = rnd.getrandbits(len(basis))
+        tops = [(pb, rnd.getrandbits(len(basis)), 0)
+                for pb in range(len(basis)) if gone >> pb & 1 and rnd.random() < 0.5]
+        runs, fixes = metrics._basis_move(gone, tops, len(basis) - gone.bit_count(), len(basis))
+        front.move(runs, fixes)
+        ref = Echelon(basis, nbits)
+        for v in range(1 << nbits):
+            x = ref.solve(v)
+            want = None if x is None or v & zero else metrics._moved(x, runs, fixes)
+            assert front.solve(v) == want, (basis, zero, v)
