@@ -33,7 +33,7 @@ from .errors import (
     certify,
 )
 from .geometry import axis_windows
-from .gf2 import combine, gather, low_bit, nullspace, pairings, scatter
+from .gf2 import Echelon, combine, gather, low_bit, nullspace, pairings, scatter
 from .groups import CodeStructure, get_structure
 from .pauli import PauliOp
 
@@ -238,7 +238,9 @@ def _dp_witness(steps, trail, dims, i: int) -> List[int]:
     steps[p] = (d, t, moves, coords) its step, coords giving the next front's
     basis in coordinates of the grown front p.  The XOR transitions are
     invertible, so each step undoes that letter's move on the top coordinates
-    and certifies that the predecessor lies in front p, below 2^dims[p]."""
+    and certifies that the predecessor lies in front p, below 2^dims[p].
+    That certificate checks the walk against the steps only; distance_dp
+    checks the letters' contributions against the final state."""
     letters = []
     for p in range(len(steps) - 1, -1, -1):
         packed = trail[p + 1]
@@ -249,111 +251,6 @@ def _dp_witness(steps, trail, dims, i: int) -> List[int]:
         letters.append(li)
     letters.reverse()
     return letters
-
-
-class _FrontEchelon:
-    """Reduced echelon of a DP front over GF(2)^nbits, each row tagged by its
-    coordinates in the front's basis, that serves the DP's algebra pass.
-
-    The rows sit side by side in one int, row k in the 2 * nbits bits from
-    2 * nbits * k: data bits below nbits, coordinates above (a front has at
-    most nbits of them).  Each row's pivot is a data bit set in that row
-    only, so solving reads the rows at the target's own pivot bits, and every
-    operation on all rows at once (clearing a pivot, cutting a close bit,
-    moving to the next basis) is a few operations on that int.
-    """
-
-    def __init__(self, nbits: int):
-        self.nbits = nbits
-        self.width = w = 2 * nbits
-        self.field = (1 << w) - 1
-        self.ones = sum(1 << (w * k) for k in range(nbits))  # bit 0 of each row
-        self.data = ((1 << nbits) - 1) * self.ones
-        self.rows = 0
-        self.slot: dict = {}  # pivot -> row index
-        self.pivot: dict = {}  # row index -> pivot
-        self.free = list(range(nbits - 1, -1, -1))
-
-    def _reduce(self, v: int) -> int:
-        """v plus the rows at its pivot bits: zero at every pivot."""
-        rest = v
-        while rest:
-            low = rest & -rest
-            k = self.slot.get(low.bit_length() - 1)
-            if k is not None:
-                v ^= self.rows >> (self.width * k) & self.field
-            rest ^= low
-        return v
-
-    def solve(self, v: int) -> Optional[int]:
-        """Coordinates of v, or None when v lies outside the front."""
-        t = self._reduce(v)
-        return None if t & ((1 << self.nbits) - 1) else t >> self.nbits
-
-    def extend(self, v: int, coord: int) -> None:
-        """Add v, outside the front, as the basis vector at ``coord``."""
-        t = self._reduce(v) | 1 << (self.nbits + coord)
-        pv = low_bit(t)
-        self.rows ^= (self.rows >> pv & self.ones) * t
-        k = self.free.pop()
-        self.rows |= t << (self.width * k)
-        self.slot[pv] = k
-        self.pivot[k] = pv
-
-    def cut(self, bit: int) -> None:
-        """Keep the states whose data ``bit`` is zero: the first row holding
-        it is XORed into the others holding it and dropped."""
-        sel = self.rows >> bit & self.ones
-        if sel:
-            k = low_bit(sel) // self.width
-            self.rows ^= sel * (self.rows >> (self.width * k) & self.field)  # row k cancels
-            del self.slot[self.pivot.pop(k)]
-            self.free.append(k)
-
-    def move(self, runs, fixes) -> None:
-        """Rewrite every row's coordinates as _moved does."""
-        rows, nbits, ones = self.rows, self.nbits, self.ones
-        out = rows & self.data
-        for mask, shift in runs:
-            out |= (rows & (mask << nbits) * ones) >> shift
-        for pb, z in fixes:
-            out ^= (rows >> (nbits + pb) & ones) * (z << nbits)
-        self.rows = out
-
-
-def _basis_move(gone: int, tops, base: int, width: int):
-    """(runs, fixes) of the move from a cut-front state's grown coordinates x
-    (below 2^width) to its coordinates in the next basis: x's kept
-    coordinates (the set bits of gone removed, the bits above each moved
-    down), less the tops whose pivots x sets, plus bit base + a for each such
-    top a.  tops is a reduced list of (pivot, grown coordinates, vector),
-    each pivot set in its own top only, so each top lands on its own top
-    coordinate."""
-    runs = []  # (mask, shift) of each run of kept coordinates
-    lo = shift = 0
-    rest = gone
-    while rest:
-        b = low_bit(rest)
-        if b > lo:
-            runs.append(((1 << b) - (1 << lo), shift))
-        lo = b + 1
-        shift += 1
-        rest &= rest - 1
-    runs.append(((1 << width) - (1 << lo), shift))
-    fixes = [(pb, _moved(x, runs, ()) | 1 << (base + a)) for a, (pb, x, _) in enumerate(tops)]
-    return runs, fixes
-
-
-def _moved(x: int, runs, fixes) -> int:
-    """Coordinates x under _basis_move's (runs, fixes): the runs' bits moved
-    down, then z added for each (pivot, z) in fixes whose pivot x sets."""
-    y = 0
-    for mask, shift in runs:
-        y |= (x & mask) >> shift
-    for pb, z in fixes:
-        if x >> pb & 1:
-            y ^= z
-    return y
 
 
 def _letter_step(keys: "np.ndarray", d: int, t: int, moves: Sequence[int]) -> "np.ndarray":
@@ -407,13 +304,14 @@ def distance_dp(
     bits are set.
 
     The bases alone fix every front's size, so the state cap is checked
-    before any keys are built.  They come from one reduced echelon of the
-    front, tagged by coordinates in its basis (_FrontEchelon), carried through
-    the sweep: each position extends it by V's new directions, cuts it by the
-    closing bits, solves the next position's letters in it and moves its tags
-    to the next basis.  That basis is the cut front's basis (unit coordinates
-    of the grown basis, but where a closing bit XORed one vector into others)
-    with V_{p+1} ∩ front on top, in place of as many of its vectors.
+    before any keys are built.  They come from one Echelon of the front,
+    its rows tagged by coordinates in the front's basis, carried through the
+    sweep: each position extends it by V's new directions, cuts it by the
+    closing bits, solves the next position's letters in it and retags it
+    with coordinates in the next basis.  That basis is the cut front's basis
+    (unit coordinates of the grown basis, but where a closing bit XORed one
+    vector into others) with V_{p+1} ∩ front on top, in place of as many of
+    its vectors.
 
     A key is (w << 2) | letter: w the state's least weight, letter (0..3 for
     I, X, Y, Z) the first in that order reaching it at w, so one minimum per
@@ -479,7 +377,7 @@ def distance_dp(
     # the algebra pass, before any key array exists.  basis is front p's
     # chosen basis, its top d vectors a basis of V ∩ front, and ech a reduced
     # echelon of the front tagged by coordinates in basis
-    ech = _FrontEchelon(nbits)
+    ech = Echelon(ncols=nbits)
     basis: List[int] = []
     dims = [0]
     steps = []
@@ -492,23 +390,25 @@ def distance_dp(
         _, cx, _, cz = contribs[p]
         grown = list(basis)
         xx, xy, xz = inside
-        if xx is None:  # a new direction, above the basis
+        # a new direction goes above the basis; ech holds one row per basis
+        # vector, so it tags the direction with its index in grown
+        if xx is None:
             xx = 1 << len(grown)
-            ech.extend(cx, len(grown))
+            ech.extend((cx,))
             grown.append(cx)
         if xz is None:
             if xy is not None:  # Z = X ^ Y
                 xz = xx ^ xy
             else:
                 xz = 1 << len(grown)
-                ech.extend(cz, len(grown))
+                ech.extend((cz,))
                 grown.append(cz)
         low = len(basis) - d
         moves = [0] + [x >> low for x in (xx, xx ^ xz, xz)]
         t = len(grown) - low
         # cut to the states whose close bits are zero: for each close bit,
         # the first basis vector holding it is XORed into the others holding
-        # it and leaves (left), and ech is cut the same way.  So the kept
+        # it and leaves (left), and ech is cut to the same states.  So the kept
         # vector j has grown coordinate j and otherwise only coordinates that
         # left, and a cut-front state's coordinates over the kept vectors are
         # its grown coordinates at the kept positions
@@ -568,11 +468,28 @@ def distance_dp(
         basis = [vecs[j] for j in kept] + [v for _, _, v in tops]
         dims.append(len(basis))
         d = len(tops)
-        # ech and the next letters move from grown to basis coordinates
+        # ech and the next letters move from grown to basis coordinates:
+        # the gone coordinates are dropped and the kept ones move down, and
+        # a set top pivot adds that top less its other kept coordinates
         if gone:
-            runs, fixes = _basis_move(gone, tops, len(kept), len(grown))
-            ech.move(runs, fixes)
-            inside = [None if x is None else _moved(x, runs, fixes) for x in inside]
+            drops = [(b, (1 << b) - 1) for b in range(len(grown) - 1, -1, -1) if gone >> b & 1]
+
+            def drop(x):
+                for b, below in drops:
+                    x = x & below | x >> (b + 1) << b
+                return x
+
+            fixes = [(pb, drop(x) | 1 << (len(kept) + a)) for a, (pb, x, _) in enumerate(tops)]
+
+            def move(x):
+                y = drop(x)
+                for pb, z in fixes:
+                    if x >> pb & 1:
+                        y ^= z
+                return y
+
+            ech.retag(move)
+            inside = [None if x is None else move(x) for x in inside]
 
     # keys[i] is the key of the state combine(i, basis) of the current
     # front; trail[p] keeps only the letters of front p, packed
@@ -594,7 +511,12 @@ def distance_dp(
     cand = np.flatnonzero(sel)
     best_w = int(weights[cand].min())
     cand = cand[weights[cand] == best_w]
-    letters = _dp_witness(steps, trail, dims, int(cand[np.argmin(states[cand])]))
+    final = int(cand[np.argmin(states[cand])])
+    letters = _dp_witness(steps, trail, dims, final)
+    reached = 0
+    for c, li in zip(contribs, letters):
+        reached ^= c[li]
+    certify(reached == int(states[final]), "DP witness letters do not reach the final state")
     witness = PauliOp.from_letters(
         n, [(order[p], _LETTERS[li - 1]) for p, li in enumerate(letters) if li]
     )

@@ -71,6 +71,31 @@ def test_factor_once_solve_matches_enumeration():
             assert sol == gf2.solve(rows, target, ncols)
 
 
+def test_cut_and_retag_solve_like_a_fresh_echelon():
+    # over an independent basis coordinates are unique: after cutting to the
+    # vectors with the cut bits zero and retagging by a linear map, solve
+    # returns the mapped coordinates of exactly those vectors
+    rng = random.Random(13)
+    for _ in range(200):
+        ncols = rng.randint(1, 8)
+        basis = gf2.rref(_random_rows(rng, rng.randint(0, ncols), ncols))[0]
+        ech = gf2.Echelon(basis, ncols)
+        zero = rng.getrandbits(ncols) & rng.getrandbits(ncols)
+        for bit in range(ncols):
+            if zero >> bit & 1:
+                ech.cut(bit)
+        img = [rng.getrandbits(6) for _ in basis]
+        ech.retag(lambda x: gf2.combine(x, img))
+        for p, q in ech.piv2row.items():
+            assert gf2.low_bit(q & ech.data_mask) == p
+            assert all(r >> p & 1 == (r == q) for r in ech.piv2row.values())
+        ref = gf2.Echelon(basis, ncols)
+        for v in range(1 << ncols):
+            x = ref.solve(v)
+            want = None if x is None or v & zero else gf2.combine(x, img)
+            assert ech.solve(v) == want
+
+
 def test_left_kernel_counts_all_zero_combinations():
     rng = random.Random(5)
     for _ in range(150):

@@ -1,7 +1,6 @@
 """The transfer DP (`metrics.distance_dp`): a SHA-256 pin over its outcomes on
 the small zoo, its capacity limits, its certified backward walk, its memory,
-the letter cases the zoo never reaches, against brute force, and its packed
-front echelon, against `gf2.Echelon`.
+and the letter cases the zoo never reaches, against brute force.
 
 The pin was recorded with the sorting engine that the subspace engine
 replaced; it fixes every value, status, witness (in lattice coordinates),
@@ -31,7 +30,6 @@ from latstab import (
     metrics,
 )
 from latstab.errors import CapacityError, CertificateError, LatstabError
-from latstab.gf2 import Echelon
 from latstab.zoo import FAMILIES
 
 SMALL = Budgets(mem_mb=1)
@@ -131,6 +129,21 @@ def test_corrupted_letter_trail_raises_under_optimize():
     assert run_optimized(script) == ["True", "False"]
 
 
+def test_letters_checked_against_final_state(monkeypatch):
+    # swapping an X for a Z keeps the weight, but not the state reached
+    walk = metrics._dp_witness
+
+    def swapped(*args):
+        letters = walk(*args)
+        p = next(p for p, li in enumerate(letters) if li in (1, 3))
+        letters[p] ^= 2
+        return letters
+
+    monkeypatch.setattr(metrics, "_dp_witness", swapped)
+    with pytest.raises(CertificateError, match="do not reach the final state"):
+        distance_dp(make_toric_2d(3))
+
+
 @pytest.mark.parametrize("L, front_peak, bound_mib", [(7, 65536, 3.5), (8, 262144, 7)],
                          ids=["surface7", "surface8"])
 def test_traced_peak_stays_small(L, front_peak, bound_mib):
@@ -191,31 +204,3 @@ def test_degenerate_letter_cases_match_bruteforce(monkeypatch):
             assert dp.witness.weight() == dp.value
             assert st.is_logical(dp.witness, mode, mask)
     assert seen == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
-
-
-def test_front_echelon_matches_echelon():
-    # the DP's packed echelon against gf2.Echelon: coordinates over an
-    # independent basis are unique, so both solve alike, also once the front
-    # is cut to the states with some bits zero and its coordinates moved
-    rnd = random.Random(7)
-    nbits = 8
-    for _ in range(300):
-        front, basis = metrics._FrontEchelon(nbits), []
-        for v in (rnd.getrandbits(nbits) for _ in range(rnd.randrange(1, 12))):
-            if front.solve(v) is None:
-                front.extend(v, len(basis))
-                basis.append(v)
-        zero = rnd.getrandbits(nbits) & rnd.getrandbits(nbits)
-        for bit in range(nbits):
-            if zero >> bit & 1:
-                front.cut(bit)
-        gone = rnd.getrandbits(len(basis))
-        tops = [(pb, rnd.getrandbits(len(basis)), 0)
-                for pb in range(len(basis)) if gone >> pb & 1 and rnd.random() < 0.5]
-        runs, fixes = metrics._basis_move(gone, tops, len(basis) - gone.bit_count(), len(basis))
-        front.move(runs, fixes)
-        ref = Echelon(basis, nbits)
-        for v in range(1 << nbits):
-            x = ref.solve(v)
-            want = None if x is None or v & zero else metrics._moved(x, runs, fixes)
-            assert front.solve(v) == want, (basis, zero, v)
