@@ -434,21 +434,15 @@ def distance_dp(
                 f"transfer DP front has {size} states at position {p}",
                 required=size, cap=budgets.dp_state_cap,
             )
-        # the next letters inside the cut front, in grown coordinates (Y is
-        # solved only when X and Z both lie outside), and tops: a reduced
-        # basis of V_{p+1} ∩ front as (pivot, grown coordinates, vector), each
-        # pivot the highest kept coordinate it sets; the kept vector at a
-        # pivot makes way for it
+        # the next letters inside the cut front, in grown coordinates, and
+        # tops: a reduced basis of V_{p+1} ∩ front as (pivot, grown
+        # coordinates, vector), each pivot the highest kept coordinate it
+        # sets; the kept vector at a pivot makes way for it
         inside = [None] * 3
         tops = []
         if p + 1 < n:
             _, cx, cy, cz = contribs[p + 1]
-            xx, xz = ech.solve(cx), ech.solve(cz)
-            if xx is not None and xz is not None:
-                xy = xx ^ xz
-            else:
-                xy = ech.solve(cy) if xx is None and xz is None else None
-            inside = [xx, xy, xz]
+            inside = [ech.solve(v) for v in (cx, cy, cz)]
             for x, v in zip(inside, (cx, cy, cz)):
                 if x is None:
                     continue
@@ -468,28 +462,18 @@ def distance_dp(
         basis = [vecs[j] for j in kept] + [v for _, _, v in tops]
         dims.append(len(basis))
         d = len(tops)
-        # ech and the next letters move from grown to basis coordinates:
-        # the gone coordinates are dropped and the kept ones move down, and
-        # a set top pivot adds that top less its other kept coordinates
+        # ech and the next letters move from grown to basis coordinates;
+        # img[j] is the image of grown coordinate j.  A kept coordinate moves
+        # to its place in kept, one that left is dropped, and a top's pivot
+        # maps to the top less its other kept coordinates
         if gone:
-            drops = [(b, (1 << b) - 1) for b in range(len(grown) - 1, -1, -1) if gone >> b & 1]
-
-            def drop(x):
-                for b, below in drops:
-                    x = x & below | x >> (b + 1) << b
-                return x
-
-            fixes = [(pb, drop(x) | 1 << (len(kept) + a)) for a, (pb, x, _) in enumerate(tops)]
-
-            def move(x):
-                y = drop(x)
-                for pb, z in fixes:
-                    if x >> pb & 1:
-                        y ^= z
-                return y
-
-            ech.retag(move)
-            inside = [None if x is None else move(x) for x in inside]
+            img = [0] * len(grown)
+            for k, j in enumerate(kept):
+                img[j] = 1 << k
+            for a, (pb, x, _) in enumerate(tops):
+                img[pb] = combine(x ^ 1 << pb, img) | 1 << (len(kept) + a)
+            ech.retag(lambda x: combine(x, img))
+            inside = [None if x is None else combine(x, img) for x in inside]
 
     # keys[i] is the key of the state combine(i, basis) of the current
     # front; trail[p] keeps only the letters of front p, packed
