@@ -139,7 +139,8 @@ def barrier_exact(
             parent.update(zip(labels.tolist(), (first[fresh] // wave.size).tolist()))
             e = energy(labels)
             above = e > level
-            for lv in np.unique(e[above]).tolist():
+            # a set, not np.unique: numpy 2's unique imports numpy.ma on first use
+            for lv in sorted(set(e[above].tolist())):
                 buckets.setdefault(lv, []).append(labels[e == lv])
             wave = labels[~above]
             reached.append(wave)

@@ -75,16 +75,32 @@ class Echelon:
     cut to its data bits and tagged with bit ``ncols + i``: ``solve`` reads
     coefficients off the tags, and each added row that reduces to zero leaves
     its tag, a dependency among the added rows, in ``kernel``.
+
+    Fully reduced means each pivot bit is set in its own row and in no other
+    row; ``pivmask`` holds the pivot bits.  XORing in a pivot's row thus
+    clears that pivot bit and flips no other, so a vector is reduced in one
+    pass by the rows of the pivot bits it holds, and by no other row.
     """
 
-    __slots__ = ("ncols", "data_mask", "piv2row", "kernel")
+    __slots__ = ("ncols", "data_mask", "piv2row", "pivmask", "kernel")
 
     def __init__(self, rows: Iterable[int] = (), ncols: Optional[int] = None):
         self.ncols = ncols
         self.data_mask = -1 if ncols is None else (1 << ncols) - 1
         self.piv2row: Dict[int, int] = {}
+        self.pivmask = 0
         self.kernel: List[int] = []
         self.extend(rows)
+
+    def reduce(self, r: int) -> int:
+        """r less the span's vector that clears r's pivot bits."""
+        piv2row = self.piv2row
+        held = r & self.pivmask
+        while held:
+            low = held & -held
+            r ^= piv2row[low.bit_length() - 1]
+            held ^= low
+        return r
 
     def extend(self, rows: Iterable[int]) -> int:
         """Insert the rows in order; returns how many were independent of the
@@ -95,7 +111,7 @@ class Echelon:
             if ncols is not None:
                 # every added row is stored or left in the kernel
                 r = (r & data_mask) | (1 << (ncols + len(piv2row) + len(kernel)))
-            r = _reduce(r, piv2row.items())
+            r = self.reduce(r)
             data = r & data_mask
             if not data:
                 if ncols is not None:
@@ -106,13 +122,14 @@ class Echelon:
                 if (q >> pv) & 1:
                     piv2row[p] = q ^ r
             piv2row[pv] = r
+            self.pivmask |= 1 << pv
             independent += 1
         return independent
 
     def solve(self, target: int) -> Optional[int]:
         """Coefficient mask c with XOR of the added rows selected by c equal to
         target (needs ``ncols``), or None when target is outside the span."""
-        t = _reduce(target, self.piv2row.items())
+        t = self.reduce(target)
         if t & self.data_mask:
             return None
         return t >> self.ncols
@@ -126,6 +143,7 @@ class Echelon:
         if hit:
             top = max(hit)
             r = self.piv2row.pop(top)
+            self.pivmask ^= 1 << top
             for p in hit:
                 if p != top:
                     self.piv2row[p] ^= r

@@ -200,10 +200,11 @@ def _span(basis: Sequence[int]) -> "np.ndarray":
 _BLOCK_BITS = 14
 
 
-def _gather_span(src: "np.ndarray", coords: Sequence[int]) -> "np.ndarray":
-    """src[combine(i, coords)] for every i below 2^len(coords), gathered in
-    blocks of at most 2^_BLOCK_BITS elements so no full index array is built."""
-    low, high = _span(coords[:_BLOCK_BITS]), _span(coords[_BLOCK_BITS:])
+def _gather_span(src: "np.ndarray", low: "np.ndarray", high: "np.ndarray") -> "np.ndarray":
+    """src[low[i] ^ high[j]] at index j * len(low) + i, gathered in blocks of
+    len(low) elements so no full index array is built.  With low and high the
+    spans of coords[:_BLOCK_BITS] and coords[_BLOCK_BITS:], element i is
+    src[combine(i, coords)]."""
     out = np.empty(len(low) * len(high), dtype=src.dtype)
     idx = np.empty_like(low)
     for block, h in zip(out.reshape(len(high), -1), high):
@@ -476,14 +477,24 @@ def distance_dp(
             inside = [None if x is None else combine(x, img) for x in inside]
 
     # keys[i] is the key of the state combine(i, basis) of the current
-    # front; trail[p] keeps only the letters of front p, packed
+    # front; trail[p] keeps only the letters of front p, packed.  Positions
+    # often repeat their low coordinates, so each low span is built once and
+    # kept until its last use
+    last_use = {tuple(coords[:_BLOCK_BITS]): p for p, (*_, coords) in enumerate(steps)}
+    lows = {}
     keys = np.zeros(1, dtype=np.uint16)
     trail = [_pack_letters(keys)]
-    for d, t, moves, coords in steps:
+    for p, (d, t, moves, coords) in enumerate(steps):
         keys &= ~np.uint16(3)  # the trail holds the letters; steps read weights
         grown = _letter_step(keys, d, t, moves).reshape(-1)
         keys = None  # freed before the gather
-        keys = _gather_span(grown, coords)
+        low_coords = tuple(coords[:_BLOCK_BITS])
+        low = lows.get(low_coords)
+        if low is None:
+            low = lows[low_coords] = _span(low_coords)
+        if last_use[low_coords] == p:
+            del lows[low_coords]
+        keys = _gather_span(grown, low, _span(coords[_BLOCK_BITS:]))
         del grown
         trail.append(_pack_letters(keys))
 

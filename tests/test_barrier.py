@@ -239,3 +239,13 @@ def test_reconstruct_rejects_broken_parent_chain():
         barrier._reconstruct(5, {0: -1}, [1], [(0, "X")])
     with pytest.raises(CertificateError, match="does not terminate"):
         barrier._reconstruct(1, {0: -1, 1: 0}, [0], [(0, "X")])
+
+
+def test_search_leaves_numpy_ma_unimported():
+    # numpy 2's plain np.unique imports numpy.ma on first use, ~15 ms a process
+    script = (
+        "import sys\n"
+        "from latstab import barrier_exact, make_toric_2d\n"
+        "print(barrier_exact(make_toric_2d(3)).value, 'numpy.ma' in sys.modules)\n"
+    )
+    assert run_optimized(script) == ["4", "False"]

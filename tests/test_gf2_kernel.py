@@ -1,5 +1,6 @@
-"""The GF(2) elimination kernel: a seeded differential test against brute
-force, and SHA-256 pins of the structure it feeds.
+"""The GF(2) elimination kernel: seeded differential tests against brute
+force at small widths and against a textbook elimination at code widths, and
+SHA-256 pins of the structure it feeds.
 
 The pins were recorded before the elimination copies were merged into one
 kernel; they fix the echelon convention (ascending lowest-bit pivots, fully
@@ -71,6 +72,15 @@ def test_factor_once_solve_matches_enumeration():
             assert sol == gf2.solve(rows, target, ncols)
 
 
+def _assert_reduced(ech):
+    """Each pivot is its row's lowest data bit, set in no other row, and
+    pivmask holds exactly the pivots."""
+    assert ech.pivmask == sum(1 << p for p in ech.piv2row)
+    for p, q in ech.piv2row.items():
+        assert gf2.low_bit(q & ech.data_mask) == p
+        assert all(r >> p & 1 == (r == q) for r in ech.piv2row.values())
+
+
 def test_cut_and_retag_solve_like_a_fresh_echelon():
     # over an independent basis coordinates are unique: after cutting to the
     # vectors with the cut bits zero and retagging by a linear map, solve
@@ -86,14 +96,100 @@ def test_cut_and_retag_solve_like_a_fresh_echelon():
                 ech.cut(bit)
         img = [rng.getrandbits(6) for _ in basis]
         ech.retag(lambda x: gf2.combine(x, img))
-        for p, q in ech.piv2row.items():
-            assert gf2.low_bit(q & ech.data_mask) == p
-            assert all(r >> p & 1 == (r == q) for r in ech.piv2row.values())
+        _assert_reduced(ech)
         ref = gf2.Echelon(basis, ncols)
         for v in range(1 << ncols):
             x = ref.solve(v)
             want = None if x is None or v & zero else gf2.combine(x, img)
             assert ech.solve(v) == want
+
+
+def _reference_rref(vectors):
+    """Textbook Gauss-Jordan over whole ints, column by column from bit 0:
+    {pivot: row}, each pivot the lowest bit of its row and in no other row."""
+    rows = [v for v in vectors if v]
+    out = {}
+    while rows:
+        col = min((r & -r).bit_length() - 1 for r in rows)
+        pick = next(r for r in rows if r >> col & 1)
+        rows.remove(pick)
+        rows = [v for v in (r ^ pick if r >> col & 1 else r for r in rows) if v]
+        out = {p: q ^ pick if q >> col & 1 else q for p, q in out.items()}
+        out[col] = pick
+    return out
+
+
+def _sparse_row(rng, ncols):
+    return sum(1 << c for c in rng.sample(range(ncols), rng.randint(2, 14)))
+
+
+def _reference_reduce(v, ref):
+    """The vector of span(ref) that agrees with v on every pivot of ref."""
+    w = 0
+    for p, q in ref.items():
+        if (v ^ w) >> p & 1:
+            w ^= q
+    return w
+
+
+def test_interleaved_operations_at_code_widths():
+    # a tagged echelon's rows are the reduced basis of W, the span of the
+    # tagged rows it holds, whatever order of extend and cut built it.  The
+    # reference keeps a basis of W and re-eliminates it from scratch; the
+    # widths reach toric 12's 2n = 576 with stabilizer-like sparse rows
+    rng = random.Random(576)
+    for ncols in (128, 200, 320, 451, 576, 600):
+        data_mask = (1 << ncols) - 1
+        ech = gf2.Echelon(ncols=ncols)
+        span, kernel, added = [], [], []
+        for _ in range(120):
+            op = rng.random()
+            if op < 0.5:
+                batch = []
+                for _ in range(rng.randint(1, 3)):
+                    if added and rng.random() < 0.3:  # often in the span
+                        batch.append(added[rng.randrange(len(added))]
+                                     ^ added[rng.randrange(len(added))])
+                    else:
+                        batch.append(_sparse_row(rng, ncols))
+                added += batch
+                independent = 0
+                for row in batch:
+                    ref = _reference_rref(span)
+                    tagged = row | 1 << (ncols + len(ref) + len(kernel))
+                    w = _reference_reduce(tagged, ref)
+                    if (tagged ^ w) & data_mask:
+                        span.append(tagged)
+                        independent += 1
+                    else:
+                        kernel.append((tagged ^ w) >> ncols)
+                assert ech.extend(batch) == independent
+            elif op < 0.65:
+                # a bit some row holds, tag bits included, or any data bit
+                rows = list(_reference_rref(span).values())
+                if rows and rng.random() < 0.8:
+                    held = rng.choice(rows)
+                    bit = rng.choice([b for b in range(held.bit_length()) if held >> b & 1])
+                else:
+                    bit = rng.randrange(ncols)
+                ech.cut(bit)
+                hit = [r for r in rows if r >> bit & 1]
+                if hit:
+                    rows.remove(hit[0])
+                    span = [r ^ hit[0] if r >> bit & 1 else r for r in rows]
+            else:
+                ref = _reference_rref(span)
+                if rng.random() < 0.6:
+                    target = _xor(rng.getrandbits(len(ref)), list(ref.values())) & data_mask
+                else:
+                    target = _sparse_row(rng, ncols)
+                w = _reference_reduce(target, ref)
+                assert ech.solve(target) == (None if (target ^ w) & data_mask else w >> ncols)
+            _assert_reduced(ech)
+            assert ech.piv2row == _reference_rref(span)
+            assert ech.kernel == kernel
+        red, pivots = gf2.rref(added)
+        assert dict(zip(pivots, red)) == _reference_rref(added)
 
 
 def test_left_kernel_counts_all_zero_combinations():
