@@ -10,7 +10,7 @@ range) and labeled as such.
 from __future__ import annotations
 
 import inspect
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .barrier import barrier_exact
@@ -30,10 +30,10 @@ class Check:
     lhs: int
     rhs: int
     holds: bool
+    margin: int = field(init=False)
 
-    @property
-    def margin(self) -> int:
-        return self.rhs - self.lhs
+    def __post_init__(self):
+        object.__setattr__(self, "margin", self.rhs - self.lhs)
 
 
 @dataclass
@@ -253,10 +253,3 @@ def _audit_task(task) -> InstanceRecord:
     family, L, kwargs, budgets = task
     return audit_instance(family, FAMILIES[family](L, **kwargs), {"L": L, **kwargs}, budgets)
 
-
-def check_to_jsonable(c: Check) -> Dict:
-    return {**asdict(c), "margin": c.margin}
-
-
-def record_to_jsonable(rec: InstanceRecord) -> Dict:
-    return {**asdict(rec), "checks": [check_to_jsonable(c) for c in rec.checks]}

@@ -29,9 +29,7 @@ from .errors import CapacityError, CertificateError, ValidationError, certify
 from .gf2 import Echelon, pairings
 from .groups import CodeStructure, get_structure
 from .metrics import BarrierResult, WalkTrace
-from .pauli import PauliOp, omega
-
-_LETTERS = ("X", "Y", "Z")
+from .pauli import LETTERS, letter_pairings, omega
 
 
 class _Quotient:
@@ -63,9 +61,6 @@ class _Quotient:
             if mask is None:
                 raise ValidationError("quotient unsound: term outside span of C(S) basis")
             self.gen_masks.append(mask)
-
-    def label_of_vec(self, v: int) -> int:
-        return pairings(v, self.u_omega)
 
 
 def barrier_exact(
@@ -100,14 +95,9 @@ def barrier_exact(
         raise CapacityError(f"coset labels need {nbits} bits; the search holds 64",
                             required=1 << nbits, cap=1 << 64)
     quo = _Quotient(st)
-    n = st.n
-    deltas = []
-    edge_ops = []
-    for q in range(n):
-        for letter in _LETTERS:
-            v = PauliOp.single(n, q, letter).vector
-            deltas.append(quo.label_of_vec(v))
-            edge_ops.append((q, letter))
+    # edges by qubit, then X, Y, Z
+    deltas = [m for triple in letter_pairings(quo.u_omega, st.n) for m in triple]
+    edge_ops = [(q, letter) for q in range(st.n) for letter in LETTERS]
     delta_arr = np.array(deltas, dtype=np.uint64)
     gen_masks = [np.uint64(mask) for mask in quo.gen_masks]
 

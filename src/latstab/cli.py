@@ -16,17 +16,11 @@ import io
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Callable, Dict, List, Optional
 
 from . import __version__
-from .audit import (
-    audit_family,
-    build_family_code,
-    check_to_jsonable,
-    family_kwargs,
-    record_to_jsonable,
-)
+from .audit import audit_family, build_family_code, family_kwargs
 from .barrier import barrier_exact
 from .codes import CodeSpec, parse_code, serialize_code
 from .config import Budgets
@@ -356,8 +350,8 @@ def _cmd_audit(args) -> int:
     all_checks = [c for rec in records for c in rec.checks] + family_checks
     failed = [c for c in all_checks if not c.holds]
     _emit_report(args, {**params, "digest": digest}, {
-        "instances": [record_to_jsonable(rec) for rec in records],
-        "family_checks": [check_to_jsonable(c) for c in family_checks],
+        "instances": [asdict(rec) for rec in records],
+        "family_checks": [asdict(c) for c in family_checks],
         "summary": {
             "checks_total": len(all_checks),
             "checks_failed": len(failed),

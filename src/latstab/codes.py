@@ -67,10 +67,11 @@ class CodeSpec:
         generators: Sequence[PauliOp],
         qubit_cells: Optional[Sequence[Tuple[int, ...]]] = None,
         cell_scale: int = 1,
-        validate: bool = True,
     ):
         if role not in (STABILIZER, GAUGE):
             raise ValidationError(f"role must be stabilizer or gauge: {role!r}")
+        if declared_r < 1:
+            raise ValidationError(f"r must be a positive integer: {declared_r}")
         if cell_scale not in (1, 2):
             raise ValidationError(f"cell_scale must be 1 or 2: {cell_scale}")
         if qubit_cells is None:
@@ -101,8 +102,7 @@ class CodeSpec:
             anchor_site.append(lattice.site_index(a))
         self._anchors = tuple(anchors)
         self._anchor_site = tuple(anchor_site)
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- structure ---------------------------------------------------------
 
@@ -331,7 +331,6 @@ def parse_code(text: str) -> CodeSpec:
             generators=(),
             qubit_cells=cells,
             cell_scale=scale,
-            validate=False,
         )
     except ValidationError as e:
         raise CodeFormatError(str(e))

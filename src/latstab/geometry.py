@@ -125,9 +125,6 @@ class Region:
         self._check(other)
         return Region(self.lattice, self.mask & other.mask)
 
-    def complement(self) -> "Region":
-        return Region(self.lattice, ~self.mask & ((1 << self.lattice.n_sites) - 1))
-
     def _check(self, other: "Region"):
         if other.lattice != self.lattice:
             raise RegionError("regions live on different lattices")

@@ -33,11 +33,9 @@ from .errors import (
     certify,
 )
 from .geometry import axis_windows
-from .gf2 import Echelon, combine, gather, low_bit, nullspace, pairings, scatter
+from .gf2 import Echelon, combine, gather, low_bit, nullspace, scatter
 from .groups import CodeStructure, get_structure
-from .pauli import PauliOp
-
-_LETTERS = ("X", "Y", "Z")
+from .pauli import LETTERS, PauliOp, letter_pairings
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +123,8 @@ def distance_bruteforce(
     targets = st.target_bits(class_mask)
     cap = budgets.weight_cap
     n = code.n
-    det_rows = _detector_rows(st, mode)
-    det = [[0] * 3 for _ in range(n)]
-    cls = [[0] * 3 for _ in range(n)]
-    for q in range(n):
-        for li, letter in enumerate(_LETTERS):
-            v = PauliOp.single(n, q, letter).vector
-            det[q][li] = pairings(v, det_rows)
-            cls[q][li] = st.class_bits_vec(v)
+    det = letter_pairings(_detector_rows(st, mode), n)
+    cls = letter_pairings(st.class_omega, n)
     examined = 0
     for w in range(1, cap + 1):
         for support in combinations(range(n), w):
@@ -144,7 +136,7 @@ def distance_bruteforce(
                     examined += 1
                     if dacc == 0 and cacc & targets:
                         witness = PauliOp.from_letters(
-                            n, [(q, _LETTERS[li]) for q, li in zip(support, letters)]
+                            n, [(q, LETTERS[li]) for q, li in zip(support, letters)]
                         )
                         return DistanceResult(
                             w, "exact", mode, "bruteforce", witness=witness,
@@ -339,16 +331,13 @@ def distance_dp(
     det_rows = [r for r in _detector_rows(st, mode) if r]
     mask_n = (1 << n) - 1
 
-    # each row's window of positions, and the rows touching each qubit
-    touching: List[List[int]] = [[] for _ in range(n)]
+    # each row's window of positions
     first, last = [], []
-    for i, row in enumerate(det_rows):
+    for row in det_rows:
         supp = (row & mask_n) | (row >> n)
         ps = []
         while supp:
-            q = low_bit(supp)
-            touching[q].append(i)
-            ps.append(pos_of[q])
+            ps.append(pos_of[low_bit(supp)])
             supp &= supp - 1
         first.append(min(ps))
         last.append(max(ps))
@@ -360,20 +349,17 @@ def distance_dp(
             required=nbits, cap=62,
         )
 
-    # per position: letter contributions (I, X, Y, Z) and the close mask.  A
-    # row without q pairs to 0 with every letter on q, so only the rows
-    # touching q contribute; Y pairs like X and Z together
-    contribs = []
-    for q in order:
-        cx = st.class_bits_vec(1 << q) << det_width
-        cz = st.class_bits_vec(1 << (n + q)) << det_width
-        for i in touching[q]:
-            cx |= (det_rows[i] >> q & 1) << bit_of[i]
-            cz |= (det_rows[i] >> (n + q) & 1) << bit_of[i]
-        contribs.append((0, cx, cx ^ cz, cz))
+    # per position: letter contributions (I, X, Y, Z) and the close mask.
+    # Detector row i's pairing moves to state bit bit_of[i]; rows sharing a
+    # state bit have disjoint windows, so at most one of them pairs with q
+    state_bits = [1 << b for b in bit_of]
+    det = letter_pairings(det_rows, n)
+    cls = letter_pairings(st.class_omega, n)
+    contribs = [(0, *(combine(dm, state_bits) | cm << det_width
+                      for dm, cm in zip(det[q], cls[q]))) for q in order]
     closes = [0] * n
     for i, p in enumerate(last):
-        closes[p] |= 1 << bit_of[i]
+        closes[p] |= state_bits[i]
 
     # the algebra pass, before any key array exists.  basis is front p's
     # chosen basis, its top d vectors a basis of V ∩ front, and ech a reduced
@@ -513,7 +499,7 @@ def distance_dp(
         reached ^= c[li]
     certify(reached == int(states[final]), "DP witness letters do not reach the final state")
     witness = PauliOp.from_letters(
-        n, [(order[p], _LETTERS[li - 1]) for p, li in enumerate(letters) if li]
+        n, [(order[p], LETTERS[li - 1]) for p, li in enumerate(letters) if li]
     )
     certify(witness.weight() == best_w, f"DP witness has weight {witness.weight()}, not {best_w}")
     certify(st.is_logical(witness, mode, class_mask), "DP witness is not a target logical")

@@ -13,12 +13,13 @@ order is all X-bits then all Z-bits.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionError
 from .gf2 import parity
 
 _LETTERS = ("I", "X", "Z", "Y")  # indexed by x + 2*z
+LETTERS = ("X", "Y", "Z")  # the order of letter_pairings' triples
 
 
 class PauliOp:
@@ -146,3 +147,18 @@ def omega(vec: int, n: int) -> int:
     """Swap the X/Z halves so that parity(omega(v) & w) is the symplectic form."""
     mask = (1 << n) - 1
     return (vec >> n) | ((vec & mask) << n)
+
+
+def letter_pairings(rows: Sequence[int], n: int) -> List[Tuple[int, int, int]]:
+    """For each qubit q the masks (X_q, Y_q, Z_q): bit i of a letter's mask is
+    gf2.pairings of that single-qubit letter on q with rows[i].  Built in one
+    pass over the rows' set bits: bit q of a row feeds X_q, bit n + q feeds
+    Z_q, and Y = X ^ Z."""
+    cols = [0] * (2 * n)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return [(x, x ^ z, z) for x, z in zip(cols[:n], cols[n:])]

@@ -112,12 +112,14 @@ def test_validate_nonlocal_code_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("data", [
     b"lattice D=1 L=3 boundary=open\nname=x\nrole=stabilizer\nr=abc\n",
     "lattice D=1 L=3 boundary=open\nname=\xe9\n".encode("latin-1"),
-], ids=["bad_integer", "non_utf8"])
+    b"lattice D=1 L=3 boundary=open\nname=x\nrole=stabilizer\nr=-1\n",
+], ids=["bad_integer", "non_utf8", "negative_r"])
 def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     bad = tmp_path / "bad.code"
     bad.write_bytes(data)
     assert main(["validate", "--code", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

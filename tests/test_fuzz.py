@@ -6,7 +6,7 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latstab import make_bacon_shor_2d, make_repetition_1d, parse_code, serialize_code
 from latstab.cli import build_parser, main
@@ -35,6 +35,7 @@ code_line = st.one_of(
 
 @FUZZ
 @given(st.lists(code_line, max_size=8).map("\n".join))
+@example("lattice D=1 L=3 boundary=open\nrole=stabilizer\nr=-1")
 def test_parse_code_raises_only_latstab_errors(text):
     try:
         parse_code(text)

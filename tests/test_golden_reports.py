@@ -67,6 +67,8 @@ CASES = {
     "min_block_bs3": ["min-block", "--code", "bs3.code"],
     "audit_repetition": ["audit", "--family", "repetition", "--L", "2..4",
                          "--csv", "audit_repetition.csv"],
+    "audit_steane_chain": ["audit", "--family", "steane_chain", "--L", "1,3"],
+    "audit_bacon_shor": ["audit", "--family", "bacon_shor", "--L", "2..4"],
 }
 
 

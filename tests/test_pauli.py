@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st_
 
 from latstab import PauliOp
 from latstab.errors import DimensionError
+from latstab.gf2 import pairings
+from latstab.pauli import LETTERS, letter_pairings
 
 from conftest import all_paulis
 
@@ -99,3 +103,18 @@ def test_restrict_homomorphism_exhaustive_small():
 def test_vector_roundtrip():
     for op in all_paulis(3):
         assert PauliOp.from_vector(3, op.vector) == op
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 31, 64, 65, 130, 200])
+def test_letter_pairings_matches_single_qubit_pairings(n):
+    rng = random.Random(n)
+    halves = ((1 << n) - 1, ((1 << n) - 1) << n, (1 << 2 * n) - 1)
+    rows = [rng.getrandbits(2 * n) & rng.choice(halves) for _ in range(rng.randint(0, 40))]
+    rows += [0, 0]  # empty rows
+    rows += rng.sample(rows, min(3, len(rows)))  # duplicates
+    rng.shuffle(rows)
+    table = letter_pairings(rows, n)
+    assert len(table) == n
+    for q, masks in enumerate(table):
+        assert masks == tuple(pairings(PauliOp.single(n, q, letter).vector, rows)
+                              for letter in LETTERS)
