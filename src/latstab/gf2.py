@@ -6,7 +6,7 @@ follows one pivot convention and is fixed by the order of the input rows.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def parity(x: int) -> int:
@@ -133,27 +133,6 @@ class Echelon:
         if t & self.data_mask:
             return None
         return t >> self.ncols
-
-    def cut(self, bit: int) -> None:
-        """Keep the span's vectors whose ``bit`` is zero: of the rows holding
-        it, the one with the highest pivot is XORed into the others and
-        dropped, so each pivot stays its row's lowest set bit.  With
-        ``ncols``, the next added row's tag counts the rows kept."""
-        hit = [p for p, q in self.piv2row.items() if q >> bit & 1]
-        if hit:
-            top = max(hit)
-            r = self.piv2row.pop(top)
-            self.pivmask ^= 1 << top
-            for p in hit:
-                if p != top:
-                    self.piv2row[p] ^= r
-
-    def retag(self, f: Callable[[int], int]) -> None:
-        """Replace each row's tag t by f(t) (needs ``ncols``); for a linear f,
-        ``solve`` then returns f of the coefficients it returned before."""
-        ncols, data_mask = self.ncols, self.data_mask
-        for p, q in self.piv2row.items():
-            self.piv2row[p] = q & data_mask | f(q >> ncols) << ncols
 
 
 def rref(rows: Iterable[int]) -> Tuple[List[int], List[int]]:

@@ -33,7 +33,7 @@ from .errors import (
     certify,
 )
 from .geometry import axis_windows
-from .gf2 import Echelon, combine, gather, low_bit, nullspace, scatter
+from .gf2 import Echelon, combine, extend_basis, gather, left_kernel, low_bit, nullspace, scatter
 from .groups import CodeStructure, get_structure
 from .pauli import LETTERS, PauliOp, letter_pairings
 
@@ -297,14 +297,12 @@ def distance_dp(
     bits are set.
 
     The bases alone fix every front's size, so the state cap is checked
-    before any keys are built.  They come from one Echelon of the front,
-    its rows tagged by coordinates in the front's basis, carried through the
-    sweep: each position extends it by V's new directions, cuts it by the
-    closing bits, solves the next position's letters in it and retags it
-    with coordinates in the next basis.  That basis is the cut front's basis
-    (unit coordinates of the grown basis, but where a closing bit XORed one
-    vector into others) with V_{p+1} ∩ front on top, in place of as many of
-    its vectors.
+    before any keys are built.  Each position builds one Echelon of the
+    grown front, its rows tagged by coordinates in the grown basis: the
+    letters' moves are solved in it, and so are the next position's letters,
+    whose span inside the cut front goes on top of the next basis.  The cut
+    front is the left kernel of the grown basis restricted to the closing
+    bits.
 
     A key is (w << 2) | letter: w the state's least weight, letter (0..3 for
     I, X, Y, Z) the first in that order reaching it at w, so one minimum per
@@ -362,105 +360,47 @@ def distance_dp(
         closes[p] |= state_bits[i]
 
     # the algebra pass, before any key array exists.  basis is front p's
-    # chosen basis, its top d vectors a basis of V ∩ front, and ech a reduced
-    # echelon of the front tagged by coordinates in basis
-    ech = Echelon(ncols=nbits)
+    # chosen basis, its top d vectors a basis of V ∩ front
     basis: List[int] = []
     dims = [0]
     steps = []
     d = 0
     peak = 1
-    # coordinates in basis of position p's X, Y and Z contributions, None
-    # for one outside the front
-    inside = [ech.solve(v) for v in contribs[0][1:]]
     for p in range(n):
-        _, cx, _, cz = contribs[p]
+        _, cx, cy, cz = contribs[p]
+        # tagged by coordinates over the grown basis: basis, then V's new
+        # directions, added only when independent so tag j is grown[j]
+        ech = Echelon(basis, nbits)
         grown = list(basis)
-        xx, xy, xz = inside
-        # a new direction goes above the basis; ech holds one row per basis
-        # vector, so it tags the direction with its index in grown
-        if xx is None:
-            xx = 1 << len(grown)
-            ech.extend((cx,))
-            grown.append(cx)
-        if xz is None:
-            if xy is not None:  # Z = X ^ Y
-                xz = xx ^ xy
-            else:
-                xz = 1 << len(grown)
-                ech.extend((cz,))
-                grown.append(cz)
+        for v in (cx, cz):
+            if ech.solve(v) is None:
+                ech.extend((v,))
+                grown.append(v)
         low = len(basis) - d
-        moves = [0] + [x >> low for x in (xx, xx ^ xz, xz)]
         t = len(grown) - low
-        # cut to the states whose close bits are zero: for each close bit,
-        # the first basis vector holding it is XORed into the others holding
-        # it and leaves (left), and ech is cut to the same states.  So the kept
-        # vector j has grown coordinate j and otherwise only coordinates that
-        # left, and a cut-front state's coordinates over the kept vectors are
-        # its grown coordinates at the kept positions
-        vecs = list(grown)
-        xs = [1 << j for j in range(len(grown))]
-        left = 0
+        moves = [0] + [ech.solve(v) >> low for v in (cx, cy, cz)]
+        # the cut front: the grown coordinates x whose state
+        # combine(x, grown) has its closing bits zero
         close = closes[p]
-        while close:
-            bit = close & -close
-            close ^= bit
-            hit = [j for j, g in enumerate(vecs) if g & bit and not left >> j & 1]
-            if hit:
-                j0 = hit[0]
-                left |= 1 << j0
-                for j in hit[1:]:
-                    vecs[j] ^= vecs[j0]
-                    xs[j] ^= xs[j0]
-                ech.cut(bit.bit_length() - 1)
-        size = 1 << (len(grown) - left.bit_count())
+        kernel = left_kernel([g & close for g in grown], nbits)
+        size = 1 << len(kernel)
         peak = max(peak, size)
         if size > budgets.dp_state_cap:
             raise CapacityError(
                 f"transfer DP front has {size} states at position {p}",
                 required=size, cap=budgets.dp_state_cap,
             )
-        # the next letters inside the cut front, in grown coordinates, and
-        # tops: a reduced basis of V_{p+1} ∩ front as (pivot, grown
-        # coordinates, vector), each pivot the highest kept coordinate it
-        # sets; the kept vector at a pivot makes way for it
-        inside = [None] * 3
-        tops = []
+        # the next chosen basis, in grown coordinates: a basis of
+        # V_{p+1} ∩ front on top of the rest of the cut front
+        shared = []
         if p + 1 < n:
-            _, cx, cy, cz = contribs[p + 1]
-            inside = [ech.solve(v) for v in (cx, cy, cz)]
-            for x, v in zip(inside, (cx, cy, cz)):
-                if x is None:
-                    continue
-                for pb, xa, va in tops:
-                    if x >> pb & 1:
-                        x ^= xa
-                        v ^= va
-                if x & ~left:
-                    pb = (x & ~left).bit_length() - 1
-                    tops = [(q, xa ^ x, va ^ v) if xa >> pb & 1 else (q, xa, va)
-                            for q, xa, va in tops]
-                    tops.append((pb, x, v))
-        gone = left | sum(1 << pb for pb, _, _ in tops)
-        kept = [j for j in range(len(grown)) if not gone >> j & 1]
-        coords = [xs[j] for j in kept] + [x for _, x, _ in tops]
+            inside = [ech.solve(v) for v in contribs[p + 1][1:] if not v & close]
+            shared = extend_basis((), (x for x in inside if x is not None))
+        coords = extend_basis(shared, kernel) + shared
         steps.append((d, t, moves, coords))
-        basis = [vecs[j] for j in kept] + [v for _, _, v in tops]
+        basis = [combine(x, grown) for x in coords]
         dims.append(len(basis))
-        d = len(tops)
-        # ech and the next letters move from grown to basis coordinates;
-        # img[j] is the image of grown coordinate j.  A kept coordinate moves
-        # to its place in kept, one that left is dropped, and a top's pivot
-        # maps to the top less its other kept coordinates
-        if gone:
-            img = [0] * len(grown)
-            for k, j in enumerate(kept):
-                img[j] = 1 << k
-            for a, (pb, x, _) in enumerate(tops):
-                img[pb] = combine(x ^ 1 << pb, img) | 1 << (len(kept) + a)
-            ech.retag(lambda x: combine(x, img))
-            inside = [None if x is None else combine(x, img) for x in inside]
+        d = len(shared)
 
     # keys[i] is the key of the state combine(i, basis) of the current
     # front; trail[p] keeps only the letters of front p, packed.  Positions

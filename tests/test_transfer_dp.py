@@ -6,6 +6,8 @@ The pin was recorded with the sorting engine that the subspace engine
 replaced; it fixes every value, status, witness (in lattice coordinates),
 front peak and `CapacityError` (required, cap) across families, axes, modes
 and class masks, so the two engines are byte-identical on all of them.
+`PYTHONPATH=src python tests/test_transfer_dp.py` prints the pinned outcome
+records, one JSON line each, and then their digest.
 """
 
 import hashlib
@@ -62,17 +64,66 @@ def _outcome(code, axis, mode, mask):
 DP_OUTCOMES_SHA = "244a706a9a414a541d87e45f1c45fe8005d0f4e48fab657df641ac0f7253351e"
 
 
+def _records():
+    return [[list(case), _outcome(code, *case[2:])] for code, case in _cases()]
+
+
+def _digest(records):
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
 def test_distance_dp_outcomes_pinned():
-    records = []
-    for code, case in _cases():
-        out = _outcome(code, *case[2:])
-        peak = out[3] if out[0] != "capacity" else None
-        if peak is not None:
+    records = _records()
+    for case, out in records:
+        if out[0] != "capacity":
+            peak = out[3]
             assert peak & (peak - 1) == 0, (case, peak)  # every front is a subspace
-        records.append([list(case), out])
     assert len(records) == 496
-    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == DP_OUTCOMES_SHA
+    assert _digest(records) == DP_OUTCOMES_SHA
+
+
+def _forward_front_sizes(code, axis):
+    """Size of each DP front of a stabilizer code, by forward enumeration
+    of its set of states: an operator on the swept qubits that commutes with
+    every generator supported among them has as state its anticommutation
+    bits with every generator and logical operator."""
+    st = get_structure(code)
+    n = code.n
+    order = sorted(range(n), key=lambda q: (code.anchor(q)[axis], code.anchor(q), q))
+    checks = list(code.generators) + [op for pair in st.logicals.pairs for op in pair]
+    last = [max((order.index(q) for q in g.support()), default=-1)
+            for g in code.generators]
+    front = {0}
+    sizes = [1]
+    for p, q in enumerate(order):
+        moves = [sum((not PauliOp.single(n, q, letter).commutes(c)) << i
+                     for i, c in enumerate(checks)) for letter in "XYZ"]
+        closed = sum(1 << i for i, lp in enumerate(last) if lp == p)
+        front = {s ^ m for s in front for m in [0] + moves if not (s ^ m) & closed}
+        sizes.append(len(front))
+    return sizes
+
+
+@pytest.mark.parametrize("family, L", [("toric", 2), ("toric", 3), ("surface", 2),
+                                       ("surface", 3), ("surface", 4), ("surface", 5),
+                                       ("repetition", 2), ("repetition", 5)])
+def test_front_dimensions_match_forward_enumeration(monkeypatch, family, L):
+    # the pin fixes only the peak front; this checks every front, read from
+    # the dims the DP hands its backward walk.  Fronts reach 2^16 states
+    # (toric 3, axis 1), still a small set to enumerate
+    seen = []
+    walk = metrics._dp_witness
+
+    def spy(steps, trail, dims, i):
+        seen.append(dims)
+        return walk(steps, trail, dims, i)
+
+    monkeypatch.setattr(metrics, "_dp_witness", spy)
+    code = FAMILIES[family](L=L)
+    for axis in range(code.lattice.D):
+        sizes = _forward_front_sizes(code, axis)
+        distance_dp(code, axis=axis)
+        assert [1 << dim for dim in seen.pop()] == sizes, (family, L, axis)
 
 
 def test_front_over_state_cap_raises():
@@ -204,3 +255,12 @@ def test_degenerate_letter_cases_match_bruteforce(monkeypatch):
             assert dp.witness.weight() == dp.value
             assert st.is_logical(dp.witness, mode, mask)
     assert seen == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
+
+
+if __name__ == "__main__":
+    # every pinned outcome as one JSON line, then their digest, so a re-pin
+    # can list the old and new records side by side
+    records = _records()
+    for record in records:
+        print(json.dumps(record))
+    print(_digest(records))
