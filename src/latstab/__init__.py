@@ -2,6 +2,24 @@
 distance, linear distance and energy-barrier analysis with certified
 lemma-level transforms."""
 
+# latstab calls no BLAS routine, so numpy is loaded with one OpenBLAS thread
+# instead of a worker pool that only costs start-up CPU. The variable is set
+# for this import only, and never when the caller chose a thread count
+# (OpenBLAS reads these three, in this order) or has already loaded numpy.
+import os
+import sys
+
+if "numpy" not in sys.modules and not any(
+        var in os.environ
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
+del os, sys
+
 from .barrier import barrier_exact
 from .codes import CodeSpec, parse_code, serialize_code
 from .config import Budgets

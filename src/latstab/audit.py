@@ -226,10 +226,12 @@ def audit_family(
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     tasks = [(family, L, kwargs, budgets) for L in L_values]
-    if jobs > 1:
+    # the pool forks all its workers at the first submit: one per size at most
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_audit_task, tasks))
     else:
         records = [_audit_task(t) for t in tasks]

@@ -115,12 +115,18 @@ def random_centralizer_element(rng, st, bare=False):
     return PauliOp.from_vector(st.n, v)
 
 
-def run_optimized(script):
+def run_optimized(script, env_changes=None):
     """Run a script under `python -O` (asserts stripped) against this
-    checkout's latstab; returns its stdout split into words."""
+    checkout's latstab; returns its stdout split into words. `env_changes`
+    sets (a string) or removes (None) variables in the child's environment."""
     src = os.path.dirname(os.path.dirname(latstab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for key, value in (env_changes or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

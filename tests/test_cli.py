@@ -220,6 +220,33 @@ def test_audit_jobs_parallel_matches_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_audit_jobs_starts_one_worker_per_size_at_most(tmp_path, monkeypatch):
+    # the pool forks all max_workers at its first submit; this stand-in
+    # records max_workers and runs the tasks in process, starting nothing
+    import concurrent.futures
+
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    for sizes in ("2", "2..3"):
+        assert main(["audit", "--family", "bacon_shor", "--L", sizes,
+                     "--out", str(tmp_path / f"{sizes}.json"), "--jobs", "64"]) == 0
+    assert started == [2]
+
+
 def test_missing_file_exit_1(capsys):
     assert main(["distance", "--code", "/nonexistent.code"]) == 1
 
