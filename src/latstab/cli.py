@@ -16,7 +16,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields
 from typing import Callable, Dict, List, Optional
 
 from . import __version__
@@ -118,6 +118,8 @@ def _parse_box(spec: str, lattice) -> Region:
             raise LatstabError(f"bad range {p!r}; expected start:stop")
         lo.append(int(m.group(1)))
         hi.append(int(m.group(2)))
+        if lo[-1] >= hi[-1]:
+            raise LatstabError(f"box range {p.strip()!r} is empty; expected start < stop")
     return Region.from_box(lattice, lo, hi)
 
 
@@ -142,10 +144,8 @@ def _region_arg(args, code) -> Region:
 
 
 def _budgets(args) -> Budgets:
-    flags = {"weight_cap": getattr(args, "weight_cap", None),
-             "node_cap": getattr(args, "node_cap", None),
-             "mem_mb": getattr(args, "mem_budget", None)}
-    return replace(Budgets.from_env(), **{k: v for k, v in flags.items() if v is not None})
+    given = {f.name: getattr(args, f.name, None) for f in fields(Budgets)}
+    return Budgets(**{k: v for k, v in given.items() if v is not None})
 
 
 def _parse_L(spec: str) -> List[int]:
@@ -185,13 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, code=True, budgets=()):
         p.add_argument("--out", help="write the JSON report here (default: stdout)")
-        for flag, help_text in (
-            ("--weight-cap", "brute-force weight cap (default 6)"),
-            ("--node-cap", "coset-node cap for exact barriers (default 2^24)"),
-            ("--mem-budget", "memory budget in MiB for the transfer DP (default 4096)"),
+        for flag, dest, help_text in (  # each dest is a Budgets field
+            ("--weight-cap", "weight_cap", "brute-force weight cap (default 6)"),
+            ("--node-cap", "node_cap", "search-space cap: exact-barrier coset nodes, "
+                                       "brute-force operators (default 2^24)"),
+            ("--mem-budget", "mem_mb", "transfer-DP memory budget in MiB (default 4096)"),
         ):
             if flag in budgets:
-                p.add_argument(flag, type=int, default=None, help=help_text)
+                p.add_argument(flag, dest=dest, type=int, default=None, help=help_text)
         if code:
             p.add_argument("--code", required=True, help="code file")
 

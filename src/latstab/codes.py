@@ -289,10 +289,17 @@ def parse_code(text: str) -> CodeSpec:
     cells: Optional[List[Tuple[int, ...]]] = None
     gen_lines: List[Tuple[int, str]] = []
     in_qubits = False
+    header_lines = {}  # header key -> line number of its one occurrence
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        header = re.match(r"lattice|(?:name|role|r|scale)=|qubits:$", line)
+        if header:
+            first = header_lines.setdefault(header.group(), lineno)
+            if first != lineno:
+                raise CodeFormatError(
+                    f"repeated {header.group()!r} header line (first on line {first})", lineno)
         if line.startswith("lattice"):
             m = re.fullmatch(r"lattice\s+D=(\d+)\s+L=(\d+)\s+boundary=(open|periodic)", line)
             if not m:

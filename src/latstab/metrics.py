@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
+from math import comb
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -112,9 +113,10 @@ def distance_bruteforce(
 ) -> DistanceResult:
     """Exact distance by weight-ordered enumeration of supports and letters.
 
-    Returns the first (minimum-weight) operator passing the target predicate;
-    if ``budgets.weight_cap`` is exhausted first, a typed lower-bound result
-    (d > cap).
+    Returns the first (minimum-weight) operator passing the target predicate,
+    or a typed lower-bound result (d >= w) at the first weight w above
+    ``budgets.weight_cap`` or whose C(n, w)·3^w operators would take the
+    count examined past ``budgets.node_cap``.
     """
     st = get_structure(code)
     st.check_mode(mode)
@@ -126,7 +128,9 @@ def distance_bruteforce(
     det = letter_pairings(_detector_rows(st, mode), n)
     cls = letter_pairings(st.class_omega, n)
     examined = 0
-    for w in range(1, cap + 1):
+    for w in range(1, cap + 2):
+        if w > cap or examined + comb(n, w) * 3**w > budgets.node_cap:
+            break
         for support in combinations(range(n), w):
             # depth-first over the 3^w letter assignments
             stack = [(0, 0, 0, ())]
@@ -148,7 +152,7 @@ def distance_bruteforce(
                     stack.append((pos + 1, dacc ^ det[q][li], cacc ^ cls[q][li], letters + (li,)))
     return DistanceResult(
         None, "lower_bound", mode, "bruteforce",
-        lower_bound=cap + 1, stats={"examined": examined},
+        lower_bound=w, stats={"examined": examined},
     )
 
 
@@ -539,6 +543,7 @@ def barrier_walk_bound(
     sweeps along the witness string so only its moving front costs energy);
     arbitrary applies them in qubit-index order.
     """
+    code.lattice.check_axis(axis)
     st = get_structure(code)
     if not st.is_logical(witness):
         raise ContractViolation("walk witness is not a logical operator")

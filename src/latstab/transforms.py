@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, reduce
+from math import comb
 from typing import List, Optional, Tuple
 
 from .codes import GAUGE, STABILIZER, CodeSpec
@@ -241,16 +242,24 @@ def compress_qubits(code: CodeSpec, qubit_mask: int, name: str) -> CodeSpec:
 
 
 def _subsystem_distance(code: CodeSpec, budgets: Budgets, axis: int = 0) -> Optional[int]:
-    """Exact subsystem distance under the budgets (the DP, else enumeration up
-    to ``budgets.weight_cap``), or CapacityError when neither is exact."""
+    """Exact subsystem distance under the budgets (the DP, else enumeration),
+    or CapacityError naming the cap that stopped the enumeration."""
     res = distance(code, "subsystem", axis=axis, budgets=budgets)
-    if res.status == "lower_bound":
+    w = res.lower_bound
+    if w is None:
+        return res.value
+    if w > budgets.weight_cap:
         raise CapacityError(
             f"exact distance of {code.name} is past the transfer DP's capacity and above "
             f"the weight cap {budgets.weight_cap}; raise --weight-cap (Budgets.weight_cap)",
-            required=res.lower_bound, cap=budgets.weight_cap,
+            required=w, cap=budgets.weight_cap,
         )
-    return res.value
+    level = comb(code.n, w) * 3**w
+    raise CapacityError(
+        f"exact distance of {code.name} is past the transfer DP's capacity, and its "
+        f"weight-{w} level of {level} operators passes the node cap {budgets.node_cap}; "
+        f"raise --node-cap (Budgets.node_cap)", required=level, cap=budgets.node_cap,
+    )
 
 
 def restriction_audit(

@@ -304,6 +304,7 @@ def test_criterion_7d_dp_equals_bruteforce():
         dp = distance_dp(code, mode=mode)
         bf = distance_bruteforce(code, mode, budgets=Budgets(weight_cap=cap))
         assert bf.status == "exact"
+        assert bf.stats["examined"] <= Budgets().node_cap
         assert dp.value == bf.value, (code.name, mode)
     _report(f"criterion 7d: DP distance equals brute force on {len(cases)} instances")
 

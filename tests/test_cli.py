@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import latstab
 
-from latstab.cli import main
+from latstab.cli import _ALL_BUDGETS, build_parser, main
+from latstab.config import Budgets
 
 from latstab import (CodeSpec, Lattice, PauliOp, make_bacon_shor_2d, make_toric_2d,
                      serialize_code)
@@ -113,7 +116,8 @@ def test_validate_nonlocal_code_exit_1(tmp_path, capsys):
     b"lattice D=1 L=3 boundary=open\nname=x\nrole=stabilizer\nr=abc\n",
     "lattice D=1 L=3 boundary=open\nname=\xe9\n".encode("latin-1"),
     b"lattice D=1 L=3 boundary=open\nname=x\nrole=stabilizer\nr=-1\n",
-], ids=["bad_integer", "non_utf8", "negative_r"])
+    b"lattice D=1 L=3 boundary=open\nname=x\nrole=stabilizer\nr=2\nZ(0) Z(1)\nrole=gauge\n",
+], ids=["bad_integer", "non_utf8", "negative_r", "repeated_role"])
 def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     bad = tmp_path / "bad.code"
     bad.write_bytes(data)
@@ -177,6 +181,17 @@ def test_restrict_audit_reads_weight_cap(tmp_path, capsys):
     assert "weight cap 1" in capsys.readouterr().err
     rc, text = run(capsys, *argv, "--weight-cap", "3")
     assert rc == 0 and json.loads(text)["result"]["d_M"] == 3
+
+
+@pytest.mark.parametrize("command, extra, box", [
+    ("restrict-audit", [], "2:0,0:2"),
+    ("clean", ["--op", "Z(0,0)"], "1:1,0:2"),
+], ids=["restrict_audit_reversed", "clean_zero_width"])
+def test_empty_box_range_exit_1(bs3_file, capsys, command, extra, box):
+    assert main([command, "--code", bs3_file, *extra, "--box", box]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: box range {box.split(',')[0]!r} is empty")
 
 
 def test_distance_auto_reports_bad_axis(tmp_path, capsys):
@@ -304,18 +319,6 @@ def test_bad_budget_env_does_not_break_import_or_version():
     assert proc.stdout.strip() == f"latstab {latstab.__version__}"
 
 
-@pytest.mark.parametrize("name, raw", [
-    ("LATSTAB_NODE_CAP", "xyz"),
-    ("LATSTAB_NODE_CAP", "0"),
-    ("LATSTAB_WEIGHT_CAP", "-3"),
-    ("LATSTAB_MEM_MB", "1.5"),
-])
-def test_bad_budget_env_exit_1(bs3_file, monkeypatch, capsys, name, raw):
-    monkeypatch.setenv(name, raw)
-    assert main(["barrier", "--code", bs3_file]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {name}={raw!r} is not a positive integer")
-
-
 @pytest.mark.parametrize("flag, value, field", [
     ("--weight-cap", "-3", "weight_cap"),
     ("--node-cap", "0", "node_cap"),
@@ -387,10 +390,47 @@ def test_budget_flags_only_where_read(bs3_file, capsys, command, extra, flag):
     assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
-def test_budget_env_overrides_cli_default(bs3_file, monkeypatch, capsys):
-    from latstab.config import Budgets
+def _registered_budget_flags():
+    """(subcommand, flag) for every budget flag the parser registers: every
+    option whose dest is a Budgets field or whose flag is in _ALL_BUDGETS."""
+    budget_fields = {f.name for f in fields(Budgets)}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions
+            if action.dest in budget_fields or set(action.option_strings) & set(_ALL_BUDGETS)]
 
-    monkeypatch.setenv("LATSTAB_NODE_CAP", "1024")
-    assert Budgets.from_env().node_cap == 1024
-    assert main(["barrier", "--code", bs3_file]) == 1
-    assert "node cap 1024" in capsys.readouterr().err
+
+# per (subcommand, flag), a command line on toric 3 whose exit code or report
+# changes when the flag is added with value 1
+_FLAG_READ_CASES = {
+    ("distance", "--weight-cap"): ["distance", "--code", "{code}", "--method", "bruteforce"],
+    ("distance", "--node-cap"): ["distance", "--code", "{code}", "--method", "bruteforce"],
+    ("distance", "--mem-budget"): ["distance", "--code", "{code}", "--method", "dp"],
+    ("barrier", "--node-cap"): ["barrier", "--code", "{code}"],
+    ("restrict-audit", "--weight-cap"): ["restrict-audit", "--code", "{code}",
+                                         "--box", "0:3,0:3", "--mem-budget", "1"],
+    ("restrict-audit", "--node-cap"): ["restrict-audit", "--code", "{code}",
+                                       "--box", "0:3,0:3", "--mem-budget", "1"],
+    ("restrict-audit", "--mem-budget"): ["restrict-audit", "--code", "{code}",
+                                         "--box", "0:3,0:3", "--weight-cap", "1"],
+    ("min-block", "--weight-cap"): ["min-block", "--code", "{code}", "--mem-budget", "1"],
+    ("min-block", "--node-cap"): ["min-block", "--code", "{code}", "--mem-budget", "1"],
+    ("min-block", "--mem-budget"): ["min-block", "--code", "{code}", "--weight-cap", "1"],
+    ("audit", "--weight-cap"): ["audit", "--family", "toric", "--L", "3", "--mem-budget", "1"],
+    ("audit", "--node-cap"): ["audit", "--family", "toric", "--L", "3"],
+    ("audit", "--mem-budget"): ["audit", "--family", "toric", "--L", "3"],
+}
+
+
+@pytest.mark.parametrize("command, flag", _registered_budget_flags())
+def test_every_budget_flag_is_read(tmp_path, capsys, command, flag):
+    # a budget flag registered without a case here fails, so no flag is
+    # accepted and then ignored
+    path = tmp_path / "toric3.code"
+    path.write_text(serialize_code(make_toric_2d(3)))
+    argv = [a.format(code=path) for a in _FLAG_READ_CASES[command, flag]]
+    base = run(capsys, *argv)
+    assert base[0] == 0
+    assert run(capsys, *argv, flag, "1") != base

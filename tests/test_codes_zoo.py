@@ -218,6 +218,26 @@ def test_parse_rejects_bad_integer_with_line_number(bad_line):
     assert exc.value.line == 4
 
 
+_HEADER = ["lattice D=1 L=3 boundary=open", "name=x", "role=stabilizer", "r=2", "scale=1",
+           "qubits:", "(0)", "(1)", "(2)", "Z(0) Z(1)"]
+
+
+@pytest.mark.parametrize("repeat, key, first", [
+    ("lattice D=1 L=5 boundary=open", "lattice", 1),
+    ("name=y", "name=", 2),
+    ("role=gauge", "role=", 3),
+    ("r=3", "r=", 4),
+    ("scale=1", "scale=", 5),
+    ("qubits:", "qubits:", 6),
+], ids=["lattice", "name", "role", "r", "scale", "qubits"])
+def test_parse_rejects_repeated_header_line(repeat, key, first):
+    assert parse_code("\n".join(_HEADER) + "\n").n == 3
+    with pytest.raises(CodeFormatError) as exc:
+        parse_code("\n".join(_HEADER + [repeat, "Z(1) Z(2)"]) + "\n")
+    assert exc.value.line == 11
+    assert f"repeated {key!r} header line (first on line {first})" in str(exc.value)
+
+
 def test_load_code_rejects_non_utf8(tmp_path):
     from latstab.cli import _load_code
 

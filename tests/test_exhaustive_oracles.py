@@ -146,6 +146,7 @@ def test_dp_matches_bruteforce_on_random_local_gauge_codes():
             dp = distance_dp(code, mode=mode)
             bf = distance_bruteforce(code, mode, budgets=Budgets(weight_cap=n))
             assert dp.value == bf.value, (code.name, mode)
+            assert bf.stats["examined"] <= Budgets().node_cap
 
 
 def test_barrier_matches_oracle_on_random_local_gauge_codes():

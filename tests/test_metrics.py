@@ -60,6 +60,27 @@ def test_distance_weight_cap_lower_bound():
     assert res.lower_bound == 3
 
 
+def test_bruteforce_stops_before_a_level_past_the_node_cap():
+    # toric 6 (n = 72): levels 1-3 hold 216 + 23,004 + 1,610,280 operators;
+    # level 4's 83,331,990 would pass the default node cap 2^24
+    res = distance_bruteforce(make_toric_2d(6))
+    assert (res.status, res.lower_bound) == ("lower_bound", 4)
+    assert res.stats["examined"] == 1_633_500 <= Budgets().node_cap
+
+
+@pytest.mark.parametrize("node_cap, lower_bound, examined", [
+    (100, 2, 54),
+    (54 + 1377 - 1, 2, 54),
+    (54 + 1377, 3, 54 + 1377),
+])
+def test_bruteforce_node_cap_counts_whole_levels(node_cap, lower_bound, examined):
+    # toric 3 (n = 18, d = 3): level 1 holds 54 operators, level 2 1377; a
+    # level is enumerated only if all of it fits the cap
+    res = distance_bruteforce(make_toric_2d(3), budgets=Budgets(node_cap=node_cap))
+    assert (res.status, res.lower_bound) == ("lower_bound", lower_bound)
+    assert res.stats["examined"] == examined <= node_cap
+
+
 def test_distance_witness_is_logical():
     code = make_surface_2d(3)
     st = get_structure(code)
@@ -101,6 +122,7 @@ def test_dp_equals_bruteforce_everywhere():
         dp = distance_dp(code, mode=mode)
         bf = distance_bruteforce(code, mode, budgets=Budgets(weight_cap=cap))
         assert dp.value == bf.value, code.name
+        assert bf.stats["examined"] <= Budgets().node_cap
 
 
 def test_dp_axis_symmetry():
@@ -126,6 +148,17 @@ def test_axis_checked_before_no_logicals(engine):
     assert engine(code, 0).status == "no_logicals"
     with pytest.raises(DimensionError, match="axis 7 outside 0..0"):
         engine(code, 7)
+
+
+@pytest.mark.parametrize("axis", [2, -1])
+def test_walk_bound_checks_axis(axis):
+    # without the check axis 2 was an IndexError and axis -1 ordered the walk
+    # by the last axis
+    code = make_toric_2d(3)
+    witness = get_structure(code).logicals.pairs[0][0]
+    assert barrier_walk_bound(code, witness, axis=1).status == "upper_bound"
+    with pytest.raises(DimensionError, match=f"axis {axis} outside 0..1"):
+        barrier_walk_bound(code, witness, axis=axis)
 
 
 def test_linear_distance_examples():

@@ -252,6 +252,7 @@ def test_degenerate_letter_cases_match_bruteforce(monkeypatch):
             dp = distance_dp(code, mode=mode, class_mask=mask)
             bf = distance_bruteforce(code, mode, mask, Budgets(weight_cap=code.n))
             assert dp.value == bf.value, (code.name, mode, mask)
+            assert bf.stats["examined"] <= Budgets().node_cap
             assert dp.witness.weight() == dp.value
             assert st.is_logical(dp.witness, mode, mask)
     assert seen == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}

@@ -222,6 +222,15 @@ def test_restriction_audit_reads_weight_cap():
     assert res.d == res.d_M == 3
 
 
+def test_restriction_audit_names_the_node_cap():
+    # the DP is over a 1 MiB budget, and toric 3's weight-2 level of 1377
+    # operators does not fit a node cap of 100: required and cap in operators
+    code = make_toric_2d(3)
+    with pytest.raises(CapacityError, match="passes the node cap 100") as exc:
+        restriction_audit(code, Region.full(code.lattice), budgets=Budgets(node_cap=100, mem_mb=1))
+    assert (exc.value.required, exc.value.cap) == (1377, 100)
+
+
 def holey_code():
     """D=1, L=4 open code with no qubit at site (3)."""
     return CodeSpec("holey", Lattice(1, 4), "stabilizer", 2,
