@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .barrier import barrier_exact
 from .codes import STABILIZER, CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import CapacityError, LatstabError, PreconditionError, ValidationError
+from .errors import CapacityError, LatstabError, ValidationError
 from .groups import get_structure
 from .metrics import barrier_walk_bound, distance, linear_distance
 from .transforms import minimal_block_search, strip_sweep
@@ -86,16 +86,17 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
     cross = lat.L ** (lat.D - 1)
 
     dres = distance(code, "subsystem", budgets=budgets)
+    d, d_method, d_witness = dres.value, dres.method, dres.witness
     if dres.status == "lower_bound":
-        d, d_method, d_witness = None, f"lower_bound>{dres.lower_bound - 1}", None
-    else:
-        d, d_method, d_witness = dres.value, dres.method, dres.witness
+        d_method = f"lower_bound>{dres.lower_bound - 1}"
+    elif dres.status == "no_logicals":
+        d_method = None
     rec.metrics["d"] = d
     rec.metrics["d_method"] = d_method
     if d_witness is not None:
         rec.witnesses["d"] = code.format_op(d_witness)
     if d is None:
-        rec.skipped.append({"what": "distance", "reason": d_method})
+        rec.skipped.append({"what": "distance", "reason": d_method or "no logical qubits"})
     else:
         if code.role == STABILIZER or _center_is_local(code):
             rec.checks.append(Check(
@@ -106,18 +107,16 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
             d <= 3 * r * cross,
         ))
 
-    if st.k > 0:
-        lres = linear_distance(code, axis=0, mode="subsystem")
-        rec.metrics["d1"] = lres.value
-        if lres.witness is not None:
-            rec.witnesses["d1"] = code.format_op(lres.witness)
+    lres = linear_distance(code, axis=0, mode="subsystem")
+    rec.metrics["d1"] = lres.value
+    if lres.witness is None:
+        rec.skipped.append({"what": "d1", "reason": "no logical qubits"})
+    else:
+        rec.witnesses["d1"] = code.format_op(lres.witness)
         if lat.L >= 2 * (r - 1) ** 2:
             rec.checks.append(Check(
                 "linear_distance_bound", "d1 <= r", lres.value, r, lres.value <= r
             ))
-    else:
-        rec.metrics["d1"] = None
-        rec.skipped.append({"what": "d1", "reason": "no logical qubits"})
 
     # exact barrier when the coset graph fits
     exact_barrier = None
@@ -127,10 +126,7 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
         try:
             bres = barrier_exact(code, budgets=budgets)
         except CapacityError as e:
-            nbits = e.required.bit_length() - 1
-            limit = (f"exceeds node cap {e.cap}" if e.cap == budgets.node_cap
-                     else f"needs {nbits}-bit labels; the search holds 64")
-            rec.skipped.append({"what": "barrier_exact", "reason": f"coset graph 2^{nbits} {limit}"})
+            rec.skipped.append({"what": "barrier_exact", "reason": e.reason})
         else:
             exact_barrier = bres.value
             rec.metrics["barrier"] = bres.value
@@ -151,7 +147,7 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
             rec.checks.append(Check(
                 "sweep_extent_bound", "extent <= r", sw.extent, r, sw.extent <= r
             ))
-        except (PreconditionError, LatstabError) as e:
+        except LatstabError as e:
             rec.skipped.append({"what": "strip_sweep", "reason": str(e)})
     if exact_barrier is None and sweep_bound is not None:
         rec.metrics["barrier"] = sweep_bound

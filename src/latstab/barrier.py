@@ -85,15 +85,14 @@ def barrier_exact(
         return BarrierResult(None, "no_logicals", "exact_bottleneck")
     targets = st.target_bits(class_mask)
     nbits = 2 * st.n - st.s
-    if (1 << nbits) > budgets.node_cap:
-        raise CapacityError(
-            f"coset graph needs 2^{nbits} nodes > node cap {budgets.node_cap}; "
-            f"use barrier_walk_bound for an upper bound",
-            required=1 << nbits, cap=budgets.node_cap,
-        )
-    if nbits > 64:
-        raise CapacityError(f"coset labels need {nbits} bits; the search holds 64",
-                            required=1 << nbits, cap=1 << 64)
+    # coset nodes against the node cap, then label bits against the 64 held
+    for limit, required, cap in (
+            (f"exceeds node cap {budgets.node_cap}", 1 << nbits, budgets.node_cap),
+            (f"needs {nbits}-bit labels; the search holds 64", nbits, 64)):
+        if required > cap:
+            reason = f"coset graph 2^{nbits} {limit}"
+            raise CapacityError(f"{reason}; use barrier_walk_bound for an upper bound",
+                                required=required, cap=cap, reason=reason)
     quo = _Quotient(st)
     # edges by qubit, then X, Y, Z
     deltas = [m for triple in letter_pairings(quo.u_omega, st.n) for m in triple]

@@ -124,14 +124,15 @@ def _parse_box(spec: str, lattice) -> Region:
 
 
 def _parse_sites(spec: str, lattice) -> Region:
+    site = r"\(([-0-9,\s]+)\)"
+    if not re.fullmatch(rf"[\s,]*(?:{site}[\s,]*)+", spec):
+        raise LatstabError(f"bad sites {spec!r}; expected (c1,...,cD) tuples, e.g. '(0,0) (0,1)'")
     coords = []
-    for m in re.finditer(r"\(([-0-9,\s]+)\)", spec):
+    for m in re.finditer(site, spec):
         try:
             coords.append(tuple(int(t) for t in m.group(1).replace(" ", "").split(",")))
         except ValueError:
             raise LatstabError(f"bad site {m.group(0)!r}; expected (c1,...,cD)") from None
-    if not coords:
-        raise LatstabError(f"no sites found in {spec!r}")
     return Region.from_sites(lattice, coords)
 
 

@@ -18,7 +18,8 @@ class Budgets:
     node_cap:   largest search space any exact engine accepts: coset-graph
                 nodes for barrier_exact (it allocates only the nodes it
                 reaches), enumerated operators for the brute-force distance.
-    mem_mb:     rough memory budget; bounds the DP state table.
+    mem_mb:     rough memory budget; bounds the DP state table at 4096
+                states per MiB.
     """
 
     weight_cap: int = 6
@@ -33,7 +34,7 @@ class Budgets:
 
     @property
     def dp_state_cap(self) -> int:
-        return max(1024, self.mem_mb * 1024 * 1024 // 256)
+        return self.mem_mb * 1024 * 1024 // 256
 
 
 DEFAULT_BUDGETS = Budgets()

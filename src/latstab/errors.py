@@ -45,12 +45,14 @@ class PreconditionError(LatstabError):
 
 
 class CapacityError(LatstabError):
-    """An exact computation would exceed a configured budget."""
+    """An exact computation would pass a budget: ``required`` > ``cap``, and
+    ``reason`` is the refusal's own clause for reports (else the message)."""
 
-    def __init__(self, message, required=None, cap=None):
+    def __init__(self, message, required=None, cap=None, reason=None):
         super().__init__(message)
         self.required = required
         self.cap = cap
+        self.reason = message if reason is None else reason
 
 
 class CertificateError(LatstabError):

@@ -333,10 +333,15 @@ class CodeStructure:
 
     # -- membership / targets -------------------------------------------------
 
-    def check_mode(self, mode: str) -> None:
-        """Reject a mode the search engines do not know."""
+    def detector_rows(self, mode: str) -> Tuple[int, ...]:
+        """The omega rows a search target must commute with: the declared
+        generators in bare mode and for a stabilizer code (G = S), else the
+        stabilizer rows.  An unknown mode is a ValidationError."""
         if mode not in ("subsystem", "bare"):
             raise ValidationError(f"unknown mode {mode!r}")
+        if mode == "bare" or self.code.role == STABILIZER:
+            return self.gen_omega
+        return self.stab_omega
 
     def target_bits(self, class_mask: Optional[int]) -> int:
         """The used-class bits a target must overlap: all 2k of them for
@@ -362,11 +367,9 @@ class CodeStructure:
         it.  class_mask restricts targets to ones overlapping the given
         used-class bits (see target_bits).
         """
-        self.check_mode(mode)
+        rows = self.detector_rows(mode)
         targets = self.target_bits(class_mask)
-        if (self.syndrome_vec if mode == "bare" else self.stab_syndrome_vec)(v):
-            return False
-        return bool(self.class_bits_vec(v) & targets)
+        return not gf2.pairings(v, rows) and bool(self.class_bits_vec(v) & targets)
 
     def is_logical(self, op: PauliOp, mode: str = "subsystem",
                    class_mask: Optional[int] = None) -> bool:

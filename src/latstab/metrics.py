@@ -18,14 +18,14 @@ gauge-qubit distance/barrier, so gauge-qubit modes are expressed as masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import combinations, count, groupby
 from math import comb
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .codes import STABILIZER, CodeSpec
+from .codes import CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import (
     CapacityError,
@@ -99,10 +99,27 @@ class BarrierResult:
 # brute-force distance
 
 
-def _detector_rows(st: CodeStructure, mode: str) -> Tuple[int, ...]:
-    if mode == "bare" or st.code.role == STABILIZER:
-        return st.gen_omega
-    return st.stab_omega
+def enumeration_refusal(code: CodeSpec, w: int, examined: int,
+                        budgets: Budgets) -> Optional[CapacityError]:
+    """Why weight-ordered enumeration may not go on to weight w after
+    ``examined`` operators, or None: w is above ``budgets.weight_cap``, or
+    the level's C(n, w)·3^w operators take the count past ``node_cap``."""
+    if w > budgets.weight_cap:
+        return CapacityError(
+            f"enumerating the distance of {code.name} stops at weight {w}, above the "
+            f"weight cap {budgets.weight_cap}; raise --weight-cap (Budgets.weight_cap)",
+            required=w, cap=budgets.weight_cap,
+        )
+    level = comb(code.n, w) * 3**w
+    total = examined + level
+    if total > budgets.node_cap:
+        return CapacityError(
+            f"enumerating the distance of {code.name} stops at weight {w}: the count "
+            f"through that level, {total} = {examined} operators already examined plus "
+            f"the level's {level}, passes the node cap {budgets.node_cap}; raise "
+            f"--node-cap (Budgets.node_cap)", required=total, cap=budgets.node_cap,
+        )
+    return None
 
 
 def distance_bruteforce(
@@ -114,23 +131,24 @@ def distance_bruteforce(
     """Exact distance by weight-ordered enumeration of supports and letters.
 
     Returns the first (minimum-weight) operator passing the target predicate,
-    or a typed lower-bound result (d >= w) at the first weight w above
-    ``budgets.weight_cap`` or whose C(n, w)·3^w operators would take the
-    count examined past ``budgets.node_cap``.
+    or a typed lower-bound result (d >= w) at the first weight w that
+    enumeration_refusal refuses.
     """
     st = get_structure(code)
-    st.check_mode(mode)
+    rows = st.detector_rows(mode)
     if st.k == 0:
         return DistanceResult(None, "no_logicals", mode, "bruteforce")
     targets = st.target_bits(class_mask)
-    cap = budgets.weight_cap
     n = code.n
-    det = letter_pairings(_detector_rows(st, mode), n)
+    det = letter_pairings(rows, n)
     cls = letter_pairings(st.class_omega, n)
     examined = 0
-    for w in range(1, cap + 2):
-        if w > cap or examined + comb(n, w) * 3**w > budgets.node_cap:
-            break
+    for w in count(1):
+        if enumeration_refusal(code, w, examined, budgets) is not None:
+            return DistanceResult(
+                None, "lower_bound", mode, "bruteforce",
+                lower_bound=w, stats={"examined": examined},
+            )
         for support in combinations(range(n), w):
             # depth-first over the 3^w letter assignments
             stack = [(0, 0, 0, ())]
@@ -150,10 +168,6 @@ def distance_bruteforce(
                 q = support[pos]
                 for li in (2, 1, 0):  # stack pops X first
                     stack.append((pos + 1, dacc ^ det[q][li], cacc ^ cls[q][li], letters + (li,)))
-    return DistanceResult(
-        None, "lower_bound", mode, "bruteforce",
-        lower_bound=w, stats={"examined": examined},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +331,7 @@ def distance_dp(
     the 14-bit weight field holds raises CapacityError.
     """
     st = get_structure(code)
-    st.check_mode(mode)
+    rows = st.detector_rows(mode)
     code.lattice.check_axis(axis)
     if st.k == 0:
         return DistanceResult(None, "no_logicals", mode, "dp")
@@ -330,7 +344,7 @@ def distance_dp(
         )
     order = sorted(range(n), key=lambda q: (code.anchor(q)[axis], code.anchor(q), q))
     pos_of = {q: p for p, q in enumerate(order)}
-    det_rows = [r for r in _detector_rows(st, mode) if r]
+    det_rows = [r for r in rows if r]
     mask_n = (1 << n) - 1
 
     # each row's window of positions
@@ -347,7 +361,7 @@ def distance_dp(
     nbits = det_width + len(st.class_omega)
     if nbits > 62:
         raise CapacityError(
-            f"transfer DP front needs {nbits} state bits (cut too wide)",
+            f"transfer DP front needs {nbits} state bits (cut too wide); it holds 62",
             required=nbits, cap=62,
         )
 
@@ -391,7 +405,7 @@ def distance_dp(
         peak = max(peak, size)
         if size > budgets.dp_state_cap:
             raise CapacityError(
-                f"transfer DP front has {size} states at position {p}",
+                f"transfer DP front has {size} states at position {p} > cap {budgets.dp_state_cap}",
                 required=size, cap=budgets.dp_state_cap,
             )
         # the next chosen basis, in grown coordinates: a basis of
@@ -482,7 +496,7 @@ def _window_logical_vectors(st: CodeStructure, qubit_mask: int, mode: str) -> Li
     """Basis vectors supported on the masked qubits commuting with the mode's
     detector rows (stabilizer group or whole gauge group)."""
     cols = qubit_mask | (qubit_mask << st.n)
-    comp = [gather(row, cols) for row in _detector_rows(st, mode)]
+    comp = [gather(row, cols) for row in st.detector_rows(mode)]
     return [scatter(v, cols) for v in nullspace(comp, cols.bit_count())]
 
 
@@ -508,7 +522,7 @@ def linear_distance(
     no weight enumeration.
     """
     st = get_structure(code)
-    st.check_mode(mode)
+    st.detector_rows(mode)  # an unknown mode fails before the axis
     code.lattice.check_axis(axis)
     if st.k == 0:
         return LinearDistanceResult(None, "no_logicals", mode, axis)
@@ -524,7 +538,7 @@ def linear_distance(
         if hits:
             hits.sort(key=lambda t: (t[0], t[1]))
             return LinearDistanceResult(width, "exact", mode, axis, witness=hits[0][2])
-    return LinearDistanceResult(None, "no_logicals", mode, axis)
+    certify(False, "the full-lattice window carries no target logical")
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from math import comb
 from typing import List, Optional, Tuple
 
 from .codes import GAUGE, STABILIZER, CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import (
-    CapacityError,
     ContractViolation,
     LatstabError,
     NoLogicalQubitsError,
@@ -33,7 +31,7 @@ from .errors import (
 from .geometry import Region, axis_windows, boundary_shell, strip_partition
 from .gf2 import Echelon, combine, gather, solve
 from .groups import CosetReducer, _restricted_k, contained_subgroup, get_structure
-from .metrics import _window_logical_vectors, distance, linear_distance
+from .metrics import _window_logical_vectors, distance, enumeration_refusal, linear_distance
 from .pauli import PauliOp
 
 
@@ -60,7 +58,7 @@ def _trapped(code: CodeSpec, mask: int) -> CleanResult:
     st = get_structure(code)
     cands = []
     for v in _window_logical_vectors(st, mask, "subsystem"):
-        if not st.G.contains_vec(v):
+        if st.is_logical_vec(v, "subsystem"):
             op = PauliOp.from_vector(code.n, v)
             cands.append((op.weight(), v, op))
     certify(bool(cands), "unsolvable cleaning must leave a trapped logical")
@@ -154,10 +152,6 @@ def strip_sweep(code: CodeSpec, axis: int = 0) -> SweepResult:
     if st.k == 0:
         raise NoLogicalQubitsError(f"{code.name} has no logical qubits")
     r = max(code.declared_r, 2)
-    if code.lattice.L < 2 * (r - 1) ** 2:
-        raise PreconditionError(
-            f"strip sweep needs L >= 2*(r-1)^2 = {2 * (r - 1) ** 2}, got L={code.lattice.L}"
-        )
     strips = strip_partition(code.lattice, r, axis)
     widths = tuple(s_.size // code.lattice.L ** (code.lattice.D - 1) for s_ in strips)
     even_mask = code.qubit_mask_in(reduce(Region.union, strips[1::2]))
@@ -243,23 +237,11 @@ def compress_qubits(code: CodeSpec, qubit_mask: int, name: str) -> CodeSpec:
 
 def _subsystem_distance(code: CodeSpec, budgets: Budgets, axis: int = 0) -> Optional[int]:
     """Exact subsystem distance under the budgets (the DP, else enumeration),
-    or CapacityError naming the cap that stopped the enumeration."""
+    or the enumeration's own CapacityError naming the cap that stopped it."""
     res = distance(code, "subsystem", axis=axis, budgets=budgets)
-    w = res.lower_bound
-    if w is None:
-        return res.value
-    if w > budgets.weight_cap:
-        raise CapacityError(
-            f"exact distance of {code.name} is past the transfer DP's capacity and above "
-            f"the weight cap {budgets.weight_cap}; raise --weight-cap (Budgets.weight_cap)",
-            required=w, cap=budgets.weight_cap,
-        )
-    level = comb(code.n, w) * 3**w
-    raise CapacityError(
-        f"exact distance of {code.name} is past the transfer DP's capacity, and its "
-        f"weight-{w} level of {level} operators passes the node cap {budgets.node_cap}; "
-        f"raise --node-cap (Budgets.node_cap)", required=level, cap=budgets.node_cap,
-    )
+    if res.status == "lower_bound":
+        raise enumeration_refusal(code, res.lower_bound, res.stats["examined"], budgets)
+    return res.value
 
 
 def restriction_audit(

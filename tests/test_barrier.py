@@ -129,12 +129,20 @@ def test_audit_names_label_width_skip():
 
 
 def test_no_logicals_result():
-    from latstab import CodeSpec, Lattice
-
     code = CodeSpec("fixed", Lattice(1, 2), "stabilizer", 2,
                     [PauliOp.single(2, 0, "Z"), PauliOp.single(2, 1, "Z")])
     res = barrier_exact(code)
     assert res.status == "no_logicals" and res.value is None
+
+
+def test_audit_of_code_without_logicals_names_no_engine():
+    # no engine searched, so the distance skip reads like the d1 and barrier ones
+    code = CodeSpec("fixed", Lattice(1, 2), "stabilizer", 2,
+                    [PauliOp.single(2, 0, "Z"), PauliOp.single(2, 1, "X")])
+    rec = audit_instance("fixed", code, {"L": 2})
+    assert rec.metrics["d"] is None and rec.metrics["d_method"] is None
+    assert rec.skipped == [{"what": what, "reason": "no logical qubits"}
+                           for what in ("distance", "d1", "barrier")]
 
 
 def test_gauge_qubit_mode_toric():

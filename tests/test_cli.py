@@ -112,12 +112,32 @@ def test_validate_nonlocal_code_exit_1(tmp_path, capsys):
     assert "generator 0" in err
 
 
+HEAD = b"lattice D=1 L=3 boundary=open\nname=x\n"
+STAB = HEAD + b"role=stabilizer\nr=2\n"
+
+
 @pytest.mark.parametrize("data", [
-    b"lattice D=1 L=3 boundary=open\nname=x\nrole=stabilizer\nr=abc\n",
+    HEAD + b"role=stabilizer\nr=abc\n",
     "lattice D=1 L=3 boundary=open\nname=\xe9\n".encode("latin-1"),
-    b"lattice D=1 L=3 boundary=open\nname=x\nrole=stabilizer\nr=-1\n",
-    b"lattice D=1 L=3 boundary=open\nname=x\nrole=stabilizer\nr=2\nZ(0) Z(1)\nrole=gauge\n",
-], ids=["bad_integer", "non_utf8", "negative_r", "repeated_role"])
+    HEAD + b"role=stabilizer\nr=-1\n",
+    STAB + b"Z(0) Z(1)\nrole=gauge\n",
+    HEAD + b"r=2\nZ(0) Z(1)\n",
+    HEAD + b"role=stabilizer\nZ(0) Z(1)\n",
+    STAB + b"Z()\n",
+    STAB + b"qubits:\n(0\n",
+    STAB + b"qubits:\n(0)\n(5)\n",
+    STAB + b"qubits:\n(0)\n(0)\n",
+    STAB + b"qubits:\n(0,0)\n",
+    STAB + b"Z(5)\n",
+    STAB + b"Z(0) Z(0)\n",
+    HEAD + b"role=bogus\nr=2\n",
+    STAB + b"scale=3\n",
+    STAB + b"scale=2\nZ(0) Z(1)\n",
+    STAB + b"Z(0)\nX(0)\n",
+], ids=["bad_integer", "non_utf8", "negative_r", "repeated_role", "missing_role",
+        "missing_r", "empty_factor_coordinates", "bad_qubit_cell", "cell_outside_lattice",
+        "duplicate_cell", "cell_arity", "no_qubit_at_cell", "identity_generator",
+        "unknown_role", "scale_3", "scale_2_without_qubits", "anticommuting_stabilizers"])
 def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     bad = tmp_path / "bad.code"
     bad.write_bytes(data)
@@ -139,10 +159,11 @@ def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     ["barrier", "--code", "{code}", "--method", "walk", "--node-cap", "1"],
     ["barrier", "--code", "{code}", "--method", "exact", "--schedule", "arbitrary"],
     ["barrier", "--code", "{code}", "--class-mask", "-1"],
+    ["clean", "--code", "{code}", "--op", "", "--sites", "(0,0) junk (1,1) 7"],
 ], ids=["L_not_integer", "L_two_ranges", "site_empty_coordinate", "code_is_directory",
         "L_empty_range", "jobs_zero", "jobs_negative", "class_mask_with_walk",
         "exact_barrier_bad_axis", "node_cap_with_walk", "schedule_with_exact",
-        "class_mask_negative"])
+        "class_mask_negative", "sites_stray_text"])
 def test_malformed_cli_input_exit_1(bs3_file, tmp_path, capsys, argv):
     argv = [a.format(code=bs3_file, dir=tmp_path) for a in argv]
     assert main(argv) == 1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -9,9 +10,12 @@ from latstab import (
     CodeSpec,
     Lattice,
     PauliOp,
+    barrier_exact,
     clean_stabilizer,
     clean_subsystem,
     compress_qubits,
+    distance_bruteforce,
+    distance_dp,
     get_structure,
     make_bacon_shor_2d,
     make_generalized_toric,
@@ -223,12 +227,42 @@ def test_restriction_audit_reads_weight_cap():
 
 
 def test_restriction_audit_names_the_node_cap():
-    # the DP is over a 1 MiB budget, and toric 3's weight-2 level of 1377
-    # operators does not fit a node cap of 100: required and cap in operators
+    # the DP is over a 1 MiB budget, and the 54 weight-1 operators examined
+    # plus toric 3's weight-2 level of 1377 pass a node cap of 100: required
+    # is the count that passed the cap, both in operators
     code = make_toric_2d(3)
     with pytest.raises(CapacityError, match="passes the node cap 100") as exc:
         restriction_audit(code, Region.full(code.lattice), budgets=Budgets(node_cap=100, mem_mb=1))
-    assert (exc.value.required, exc.value.cap) == (1377, 100)
+    assert (exc.value.required, exc.value.cap) == (1431, 100)
+
+
+REFUSING_ENGINES = {
+    "distance_dp": lambda code, b: distance_dp(code, budgets=b),
+    "distance_bruteforce": lambda code, b: distance_bruteforce(code, budgets=b),
+    "barrier_exact": lambda code, b: barrier_exact(code, budgets=b),
+    "restriction_audit": lambda code, b: restriction_audit(code, Region.full(code.lattice),
+                                                           budgets=b),
+    "minimal_block_search": lambda code, b: minimal_block_search(code, budgets=b),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(REFUSING_ENGINES))
+def test_every_refusal_passed_its_cap(engine):
+    # over a small budget ladder, each CapacityError counts what passed the
+    # cap (required > cap) and names the cap's value
+    refused = []
+    for code, (node_cap, weight_cap, mem_mb) in product(
+            (make_toric_2d(3), make_bacon_shor_2d(3), make_repetition_1d(6)),
+            product((100, 1430, 2**21), (1, 2, 6), (1, 64))):
+        budgets = Budgets(weight_cap=weight_cap, node_cap=node_cap, mem_mb=mem_mb)
+        try:
+            REFUSING_ENGINES[engine](code, budgets)
+        except CapacityError as e:
+            assert e.required > e.cap, (code.name, budgets, str(e))
+            assert str(e.cap) in str(e), (code.name, budgets, str(e))
+            refused.append(e)
+    # brute force answers a refusal with a lower bound instead of raising
+    assert bool(refused) == (engine != "distance_bruteforce")
 
 
 def holey_code():
