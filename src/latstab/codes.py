@@ -30,7 +30,8 @@ bit-exactly.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CodeFormatError, DimensionError, LocalityError, RegionError, ValidationError
 from .geometry import Lattice, Region, min_window
@@ -42,66 +43,59 @@ GAUGE = "gauge"
 _FACTOR_RE = re.compile(r"([IXYZ])\(([-0-9,\s]*)\)")
 
 
+@dataclass(frozen=True, slots=True)
 class CodeSpec:
-    """Lattice geometry + declared generator list + locality metadata."""
+    """Lattice geometry + declared generator list + locality metadata.
 
-    __slots__ = (
-        "name",
-        "lattice",
-        "role",
-        "declared_r",
-        "cell_scale",
-        "qubit_cells",
-        "generators",
-        "_cell_index",
-        "_anchors",
-        "_anchor_site",
-    )
+    Immutable: the seven constructor fields are its identity (equality and
+    hash), and the anchor tables are derived from them once."""
 
-    def __init__(
-        self,
-        name: str,
-        lattice: Lattice,
-        role: str,
-        declared_r: int,
-        generators: Sequence[PauliOp],
-        qubit_cells: Optional[Sequence[Tuple[int, ...]]] = None,
-        cell_scale: int = 1,
-    ):
-        if role not in (STABILIZER, GAUGE):
-            raise ValidationError(f"role must be stabilizer or gauge: {role!r}")
-        if declared_r < 1:
-            raise ValidationError(f"r must be a positive integer: {declared_r}")
-        if cell_scale not in (1, 2):
-            raise ValidationError(f"cell_scale must be 1 or 2: {cell_scale}")
-        if qubit_cells is None:
-            if cell_scale != 1:
+    name: str
+    lattice: Lattice
+    role: str
+    declared_r: int
+    generators: Sequence[PauliOp]
+    qubit_cells: Optional[Sequence[Tuple[int, ...]]] = None
+    cell_scale: int = 1
+    _cell_index: Dict[Tuple[int, ...], int] = field(init=False, compare=False, repr=False)
+    _anchors: Tuple[Tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _anchor_site: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.role not in (STABILIZER, GAUGE):
+            raise ValidationError(f"role must be stabilizer or gauge: {self.role!r}")
+        if self.declared_r < 1:
+            raise ValidationError(f"r must be a positive integer: {self.declared_r}")
+        if self.cell_scale not in (1, 2):
+            raise ValidationError(f"cell_scale must be 1 or 2: {self.cell_scale}")
+        lattice, scale = self.lattice, self.cell_scale
+        cells = self.qubit_cells
+        if cells is None:
+            if scale != 1:
                 raise ValidationError("implicit qubit cells require cell_scale=1")
-            qubit_cells = tuple(lattice.sites())
-        self.name = name
-        self.lattice = lattice
-        self.role = role
-        self.declared_r = declared_r
-        self.cell_scale = cell_scale
-        self.qubit_cells = tuple(tuple(c) for c in qubit_cells)
-        self.generators = tuple(generators)
-        self._cell_index = {}
+            cells = lattice.sites()
+        cells = tuple(tuple(c) for c in cells)
+        cell_index = {}
         anchors = []
         anchor_site = []
-        hi = cell_scale * lattice.L if lattice.periodic else cell_scale * (lattice.L - 1) + 1
-        for q, cell in enumerate(self.qubit_cells):
+        hi = scale * lattice.L if lattice.periodic else scale * (lattice.L - 1) + 1
+        for q, cell in enumerate(cells):
             if len(cell) != lattice.D:
                 raise ValidationError(f"qubit {q}: cell arity {len(cell)} != D={lattice.D}")
             if any(not 0 <= c < hi for c in cell):
                 raise ValidationError(f"qubit {q}: cell {cell} outside the lattice")
-            if cell in self._cell_index:
+            if cell in cell_index:
                 raise ValidationError(f"duplicate qubit cell {cell}")
-            self._cell_index[cell] = q
-            a = tuple(c // cell_scale for c in cell)
+            cell_index[cell] = q
+            a = tuple(c // scale for c in cell)
             anchors.append(a)
             anchor_site.append(lattice.site_index(a))
-        self._anchors = tuple(anchors)
-        self._anchor_site = tuple(anchor_site)
+        # frozen: the normalized fields and the tables are set once, here
+        object.__setattr__(self, "qubit_cells", cells)
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "_cell_index", cell_index)
+        object.__setattr__(self, "_anchors", tuple(anchors))
+        object.__setattr__(self, "_anchor_site", tuple(anchor_site))
         self.validate()
 
     # -- structure ---------------------------------------------------------
@@ -216,31 +210,6 @@ class CodeSpec:
         if stripped:
             raise CodeFormatError(f"unparsed operator text {stripped!r}")
         return PauliOp(self.n, x, z)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CodeSpec)
-            and self.name == other.name
-            and self.lattice == other.lattice
-            and self.role == other.role
-            and self.declared_r == other.declared_r
-            and self.cell_scale == other.cell_scale
-            and self.qubit_cells == other.qubit_cells
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.name,
-                self.lattice,
-                self.role,
-                self.declared_r,
-                self.cell_scale,
-                self.qubit_cells,
-                self.generators,
-            )
-        )
 
     def __repr__(self):
         return (

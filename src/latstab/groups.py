@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gf2
 from .codes import STABILIZER, CodeSpec
-from .errors import ValidationError
+from .errors import DimensionError, ValidationError
 from .pauli import PauliOp, omega
 
 _MAX_COSET_ENUM_RANK = 16
@@ -104,14 +104,6 @@ class LogicalBasis:
     n: int
     pairs: Tuple[Tuple[PauliOp, PauliOp], ...]
     gauge_pairs: Tuple[Tuple[PauliOp, PauliOp], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def g(self) -> int:
-        return len(self.gauge_pairs)
 
 
 class CosetReducer:
@@ -301,13 +293,20 @@ class CodeStructure:
         return tuple(class_rows)
 
     # -- linear maps ---------------------------------------------------------
+    # The PauliOp forms check the operator's qubit count; the _vec forms take
+    # a 2n-bit vector as given.
+
+    def _vector(self, op: PauliOp) -> int:
+        if op.n != self.n:
+            raise DimensionError(f"operator acts on {op.n} qubits, code has {self.n}")
+        return op.vector
 
     def syndrome_vec(self, v: int) -> int:
         """Anticommutation bits against the declared generator list."""
         return gf2.pairings(v, self.gen_omega)
 
     def syndrome(self, op: PauliOp) -> int:
-        return self.syndrome_vec(op.vector)
+        return self.syndrome_vec(self._vector(op))
 
     def energy_vec(self, v: int) -> int:
         return 2 * self.syndrome_vec(v).bit_count()
@@ -318,7 +317,7 @@ class CodeStructure:
         Exact for commuting-generator Hamiltonians; an upper bound on the
         sector gap for non-commuting gauge Hamiltonians.
         """
-        return self.energy_vec(op.vector)
+        return self.energy_vec(self._vector(op))
 
     def stab_syndrome_vec(self, v: int) -> int:
         return gf2.pairings(v, self.stab_omega)
@@ -329,7 +328,7 @@ class CodeStructure:
         return gf2.pairings(v, self.class_omega)
 
     def class_bits(self, op: PauliOp) -> int:
-        return self.class_bits_vec(op.vector)
+        return self.class_bits_vec(self._vector(op))
 
     # -- membership / targets -------------------------------------------------
 
@@ -373,7 +372,7 @@ class CodeStructure:
 
     def is_logical(self, op: PauliOp, mode: str = "subsystem",
                    class_mask: Optional[int] = None) -> bool:
-        return self.is_logical_vec(op.vector, mode, class_mask)
+        return self.is_logical_vec(self._vector(op), mode, class_mask)
 
 
 _structure_cache: Dict[CodeSpec, CodeStructure] = {}

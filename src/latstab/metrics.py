@@ -492,12 +492,21 @@ def distance(
 # linear distance (minimal axis window containing a logical)
 
 
-def _window_logical_vectors(st: CodeStructure, qubit_mask: int, mode: str) -> List[int]:
-    """Basis vectors supported on the masked qubits commuting with the mode's
-    detector rows (stabilizer group or whole gauge group)."""
+def _lightest_logical(st: CodeStructure, qubit_mask: int, mode: str,
+                      class_mask: Optional[int] = None) -> Optional[PauliOp]:
+    """The least (weight, vector) target logical among the basis vectors of
+    the operators on the masked qubits that commute with the mode's
+    detector rows, or None when no basis vector is one."""
     cols = qubit_mask | (qubit_mask << st.n)
     comp = [gather(row, cols) for row in st.detector_rows(mode)]
-    return [scatter(v, cols) for v in nullspace(comp, cols.bit_count())]
+    vectors = (scatter(v, cols) for v in nullspace(comp, cols.bit_count()))
+    hits = [PauliOp.from_vector(st.n, v) for v in vectors
+            if st.is_logical_vec(v, mode, class_mask)]
+    return min(hits, key=_weight_order, default=None)
+
+
+def _weight_order(op: PauliOp) -> Tuple[int, int]:
+    return op.weight(), op.vector
 
 
 @dataclass(frozen=True)
@@ -528,16 +537,12 @@ def linear_distance(
         return LinearDistanceResult(None, "no_logicals", mode, axis)
     st.target_bits(class_mask)  # reject an empty mask before the scan
     for width, windows in groupby(axis_windows(code.lattice, axis), key=itemgetter(0)):
-        hits = []
-        for _, _, region in windows:
-            mask = code.qubit_mask_in(region)
-            for v in _window_logical_vectors(st, mask, mode):
-                if st.is_logical_vec(v, mode, class_mask):
-                    op = PauliOp.from_vector(code.n, v)
-                    hits.append((op.weight(), v, op))
+        hits = [_lightest_logical(st, code.qubit_mask_in(region), mode, class_mask)
+                for _, _, region in windows]
+        hits = [op for op in hits if op is not None]
         if hits:
-            hits.sort(key=lambda t: (t[0], t[1]))
-            return LinearDistanceResult(width, "exact", mode, axis, witness=hits[0][2])
+            return LinearDistanceResult(width, "exact", mode, axis,
+                                        witness=min(hits, key=_weight_order))
     certify(False, "the full-lattice window carries no target logical")
 
 

@@ -31,7 +31,7 @@ from .errors import (
 from .geometry import Region, axis_windows, boundary_shell, strip_partition
 from .gf2 import Echelon, combine, gather, solve
 from .groups import CosetReducer, _restricted_k, contained_subgroup, get_structure
-from .metrics import _window_logical_vectors, distance, enumeration_refusal, linear_distance
+from .metrics import _lightest_logical, distance, enumeration_refusal, linear_distance
 from .pauli import PauliOp
 
 
@@ -51,18 +51,13 @@ def _cleaned(st, op: PauliOp, mult: PauliOp, mask: int, used=()) -> CleanResult:
     return CleanResult("cleaned", mult, cleaned, generator_indices=tuple(used))
 
 
-def _trapped(code: CodeSpec, mask: int) -> CleanResult:
-    """The lowest-(weight, vector) operator supported in the mask that commutes
-    with the stabilizer group but lies outside G (which is S for a stabilizer
-    code), which must exist when the cleaning is unsolvable."""
-    st = get_structure(code)
-    cands = []
-    for v in _window_logical_vectors(st, mask, "subsystem"):
-        if st.is_logical_vec(v, "subsystem"):
-            op = PauliOp.from_vector(code.n, v)
-            cands.append((op.weight(), v, op))
-    certify(bool(cands), "unsolvable cleaning must leave a trapped logical")
-    witness = min(cands, key=lambda t: (t[0], t[1]))[2]
+def _trapped(st, mask: int) -> CleanResult:
+    """An operator supported in the mask that commutes with the stabilizer
+    group but lies outside G (which is S for a stabilizer code), the
+    lightest that _lightest_logical finds; one must exist when the cleaning
+    is unsolvable."""
+    witness = _lightest_logical(st, mask, "subsystem")
+    certify(witness is not None, "unsolvable cleaning must leave a trapped logical")
     certify(witness.support_mask() & ~mask == 0, "trapped logical leaves the region")
     certify(st.is_logical(witness, "subsystem"), "trapped operator is not a logical")
     return CleanResult("trapped_logical", trapped=witness)
@@ -92,7 +87,7 @@ def clean_stabilizer(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult
         used = [a for i, a in enumerate(overlapping) if (coeff >> i) & 1]
         mult = PauliOp.from_vector(code.n, combine(coeff, vectors))
         return _cleaned(st, op, mult, mask, used)
-    return _trapped(code, mask)
+    return _trapped(st, mask)
 
 
 def clean_subsystem(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
@@ -120,7 +115,7 @@ def _clean_on(st, op: PauliOp, mask: int, stabilizers: Echelon) -> CleanResult:
     coeff = stabilizers.solve(restricted.vector)
     if coeff is not None:
         return _cleaned(st, op, PauliOp.from_vector(st.n, combine(coeff, st.S.rows)), mask)
-    return _trapped(st.code, mask)
+    return _trapped(st, mask)
 
 
 @dataclass(frozen=True)
@@ -235,10 +230,10 @@ def compress_qubits(code: CodeSpec, qubit_mask: int, name: str) -> CodeSpec:
     )
 
 
-def _subsystem_distance(code: CodeSpec, budgets: Budgets, axis: int = 0) -> Optional[int]:
+def _subsystem_distance(code: CodeSpec, budgets: Budgets) -> Optional[int]:
     """Exact subsystem distance under the budgets (the DP, else enumeration),
     or the enumeration's own CapacityError naming the cap that stopped it."""
-    res = distance(code, "subsystem", axis=axis, budgets=budgets)
+    res = distance(code, "subsystem", budgets=budgets)
     if res.status == "lower_bound":
         raise enumeration_refusal(code, res.lower_bound, res.stats["examined"], budgets)
     return res.value
@@ -289,7 +284,8 @@ def minimal_block_search(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> MinimalBlockResult:
     """Smallest contiguous block (1D) or full-height strip (2D) whose
-    restricted code keeps a logical qubit, with its exact distance.
+    restricted code keeps a logical qubit, with the restriction audit of
+    that block.
 
     Verifies d_M <= r*L^(D-1) and d <= d_M + |shell qubits| <= 3r*L^(D-1);
     in 1D these are the plain d_M <= r and d <= 3r bounds.
@@ -297,22 +293,16 @@ def minimal_block_search(
     if code.lattice.D > 2:
         raise PreconditionError("minimal block search supports D = 1 or 2 only")
     G = get_structure(code).G
-    cross = code.lattice.L ** (code.lattice.D - 1)
     for width, start, region in axis_windows(code.lattice, axis):
-        mask = code.qubit_mask_in(region)
-        k_M = _restricted_k(G, mask)
-        if k_M == 0:
+        if _restricted_k(G, code.qubit_mask_in(region)) == 0:
             continue
-        sub = compress_qubits(code, mask, f"{code.name}|block")
-        certify(get_structure(sub).k == k_M, f"block code's k is not the counted k_M={k_M}")
-        d_M = _subsystem_distance(sub, budgets, axis=axis)
-        shell_qubits = code.qubit_mask_in(boundary_shell(region, code.declared_r)).bit_count()
-        d = _subsystem_distance(code, budgets, axis=axis)
-        r = code.declared_r
+        res = restriction_audit(code, region, budgets=budgets)
+        bound = code.declared_r * code.lattice.L ** (code.lattice.D - 1)
         checks = {
-            "d_M <= r*L^(D-1)": d_M <= r * cross,
-            "d <= d_M + shell": d <= d_M + shell_qubits,
-            "d <= 3r*L^(D-1)": d <= 3 * r * cross,
+            "d_M <= r*L^(D-1)": res.d_M <= bound,
+            "d <= d_M + shell": res.holds,
+            "d <= 3r*L^(D-1)": res.d <= 3 * bound,
         }
-        return MinimalBlockResult(True, start, width, axis, k_M, d_M, d, shell_qubits, checks)
+        return MinimalBlockResult(True, start, width, axis, res.k_M, res.d_M, res.d,
+                                  res.shell_qubits, checks)
     return MinimalBlockResult(False, None, None, axis, 0, None, None, 0, {})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from latstab import (
@@ -126,6 +128,15 @@ def test_audit_names_label_width_skip():
                          Budgets(node_cap=2**80))
     assert {"what": "barrier_exact",
             "reason": "coset graph 2^65 needs 65-bit labels; the search holds 64"} in rec.skipped
+
+
+def test_audit_records_why_no_strip_sweep_ran():
+    # toric 3 declared with r = 3 is too short for the strip partition
+    code = dataclasses.replace(make_toric_2d(3), declared_r=3)
+    rec = audit_instance("custom", code, {"L": 3})
+    assert rec.skipped == [{"what": "strip_sweep",
+                            "reason": "strip partition needs L >= 2*(r-1)^2 = 8, got L=3"}]
+    assert "barrier_walk_bound" not in rec.metrics
 
 
 def test_no_logicals_result():

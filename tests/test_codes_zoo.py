@@ -172,6 +172,15 @@ def test_serialization_roundtrip_all():
         assert serialize_code(back) == text
 
 
+@pytest.mark.parametrize("field", ["name", "declared_r", "generators", "_anchors"])
+def test_code_spec_is_immutable(field):
+    # a spec keys the structure cache, so its identity cannot change under it
+    code = make_toric_2d(3)
+    with pytest.raises(AttributeError):
+        setattr(code, field, getattr(code, field))
+    assert code == make_toric_2d(3) and hash(code) == hash(make_toric_2d(3))
+
+
 def test_parse_rejects_duplicate_cells():
     text = (
         "lattice D=1 L=3 boundary=open\n"

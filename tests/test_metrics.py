@@ -234,6 +234,39 @@ def test_stabilizer_mode_rejected_on_gauge_code(engine):
             engine(code)
 
 
+@pytest.mark.parametrize("engine, match", [
+    (lambda code: distance(code, method="foo"), "unknown distance method 'foo'"),
+    (lambda code: barrier_walk_bound(code, get_structure(code).logicals.pairs[0][0],
+                                     schedule="foo"), "unknown schedule 'foo'"),
+], ids=["distance_method", "walk_schedule"])
+def test_unknown_engine_choice_rejected(engine, match):
+    with pytest.raises(ValidationError, match=match):
+        engine(make_toric_2d(3))
+
+
+def _xbar_on_23_qubits():
+    """Toric 3's X-bar rewrapped on 23 qubits: the same bits, wrong count."""
+    code = make_toric_2d(3)
+    xbar = get_structure(code).logicals.pairs[0][0]
+    return code, PauliOp(23, xbar.x, xbar.z)
+
+
+@pytest.mark.parametrize("method", ["syndrome", "energy", "class_bits", "is_logical"])
+def test_structure_rejects_operator_on_other_qubit_count(method):
+    code, op = _xbar_on_23_qubits()
+    st = get_structure(code)
+    # the _vec forms read the bits as given, so they take it for a logical
+    assert st.is_logical_vec(op.vector, "subsystem") and st.class_bits_vec(op.vector) == 1
+    with pytest.raises(DimensionError, match="operator acts on 23 qubits, code has 18"):
+        getattr(st, method)(op)
+
+
+def test_walk_bound_rejects_operator_on_other_qubit_count():
+    code, op = _xbar_on_23_qubits()
+    with pytest.raises(DimensionError, match="operator acts on 23 qubits, code has 18"):
+        barrier_walk_bound(code, op)
+
+
 def test_removed_search_options():
     # each question has one way to ask it: the barrier engines search the
     # subsystem targets only, and Budgets.weight_cap is the one enumeration cap
@@ -283,7 +316,7 @@ def test_negative_class_mask_rejected(engine, mask):
     # trapping: the window search finds no logical in a region that traps one
     "import latstab.transforms as t\n"
     "from latstab import Region, make_toric_2d\n"
-    "t._window_logical_vectors = lambda *args: []\n"
+    "t._lightest_logical = lambda *args: None\n"
     "code = make_toric_2d(3)\n"
     "op = code.parse_op('X(1,0) X(1,2) X(1,4)')\n"
     "region = Region.from_box(code.lattice, [0, 0], [3, 1])\n"

@@ -29,7 +29,7 @@ from latstab import (
     strip_sweep,
 )
 from latstab.errors import (CapacityError, CertificateError, ContractViolation,
-                             NoLogicalQubitsError)
+                             NoLogicalQubitsError, PreconditionError)
 from latstab.geometry import Region, axis_windows
 from latstab.groups import _restricted_k
 
@@ -79,6 +79,17 @@ def test_clean_contract_violation():
     code = make_toric_2d(2)
     with pytest.raises(ContractViolation):
         clean_stabilizer(code, PauliOp.single(code.n, 0, "X"), Region.full(code.lattice))
+
+
+@pytest.mark.parametrize("clean, match", [
+    (clean_stabilizer, "clean_stabilizer needs a stabilizer code"),
+    (clean_subsystem, "not in the centralizer of the gauge group"),
+], ids=["stabilizer_clean_on_gauge_code", "subsystem_clean_outside_CG"])
+def test_clean_contract_violation_on_gauge_code(clean, match):
+    # a single X on Bacon-Shor anticommutes with a ZZ gauge term
+    code = make_bacon_shor_2d(2)
+    with pytest.raises(ContractViolation, match=match):
+        clean(code, PauliOp.single(code.n, 0, "X"), Region.full(code.lattice))
 
 
 def test_clean_subsystem_moves_bacon_shor_column():
@@ -318,6 +329,15 @@ def test_minimal_block_bacon_shor_strips():
     L = code.lattice.L
     assert res.d_M <= code.declared_r * L
     assert res.checks["d <= 3r*L^(D-1)"]
+
+
+def test_minimal_block_without_logicals_and_in_3d():
+    fixed = CodeSpec("fixed", Lattice(1, 2), "stabilizer", 2,
+                     [PauliOp.single(2, 0, "Z"), PauliOp.single(2, 1, "X")])
+    res = minimal_block_search(fixed, axis=0)
+    assert not res.found and res.k_M == 0 and res.checks == {}
+    with pytest.raises(PreconditionError, match="supports D = 1 or 2 only"):
+        minimal_block_search(make_generalized_toric(3, 2))
 
 
 K_M_CODES = [
