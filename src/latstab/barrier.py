@@ -25,7 +25,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import CapacityError, CertificateError, ValidationError, certify
+from .errors import CapacityError, CertificateError, certify
 from .gf2 import Echelon, pairings
 from .groups import CodeStructure, get_structure
 from .metrics import BarrierResult, WalkTrace
@@ -49,17 +49,15 @@ class _Quotient:
         # blind to S, else cosets would mix energies or target status
         for q in st.S.rows:
             qo = omega(q, n)
-            if pairings(qo, st.gen_vectors):
-                raise ValidationError("quotient unsound: a Hamiltonian term anticommutes with S")
-            if pairings(qo, u_rows):
-                raise ValidationError("quotient unsound: label functional sees S")
+            certify(not pairings(qo, st.gen_vectors),
+                    "quotient unsound: a Hamiltonian term anticommutes with S")
+            certify(not pairings(qo, u_rows), "quotient unsound: label functional sees S")
         # every Hamiltonian term over the label basis, from one factorization
         basis = Echelon(u_rows, 2 * n)
         self.gen_masks = []
         for g in st.gen_vectors:
             mask = basis.solve(g)
-            if mask is None:
-                raise ValidationError("quotient unsound: term outside span of C(S) basis")
+            certify(mask is not None, "quotient unsound: term outside span of C(S) basis")
             self.gen_masks.append(mask)
 
 

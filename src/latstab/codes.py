@@ -194,22 +194,17 @@ class CodeSpec:
         text = text.strip()
         if not text:
             return PauliOp.identity(self.n)
-        x = z = 0
+        factors = []
         for m in _FACTOR_RE.finditer(text):
-            letter = m.group(1)
             try:
                 cell = tuple(int(t) for t in m.group(2).replace(" ", "").split(","))
             except ValueError:
                 raise CodeFormatError(f"bad coordinates in factor {m.group(0)!r}")
-            q = self.qubit_at(cell)
-            if letter in ("X", "Y"):
-                x ^= 1 << q
-            if letter in ("Z", "Y"):
-                z ^= 1 << q
+            factors.append((self.qubit_at(cell), m.group(1)))
         stripped = _FACTOR_RE.sub("", text).strip()
         if stripped:
             raise CodeFormatError(f"unparsed operator text {stripped!r}")
-        return PauliOp(self.n, x, z)
+        return PauliOp.from_letters(self.n, factors)
 
     def __repr__(self):
         return (

@@ -77,16 +77,16 @@ class Lattice:
         return max(self.axis_distance(a, b) for a, b in zip(u, v))
 
 
+@dataclass(frozen=True, slots=True)
 class Region:
-    """Subset of lattice sites, stored as an int bitset over site indices."""
+    """Immutable subset of lattice sites, stored as an int bitset over site indices."""
 
-    __slots__ = ("lattice", "mask")
+    lattice: Lattice
+    mask: int = 0
 
-    def __init__(self, lattice: Lattice, mask: int = 0):
-        if mask < 0 or mask >> lattice.n_sites:
+    def __post_init__(self):
+        if self.mask < 0 or self.mask >> self.lattice.n_sites:
             raise RegionError("region mask has bits outside the lattice")
-        self.lattice = lattice
-        self.mask = mask
 
     @staticmethod
     def from_sites(lattice: Lattice, coords_list: Iterable[Sequence[int]]) -> "Region":
@@ -138,16 +138,6 @@ class Region:
 
     def site_coords(self) -> List[Tuple[int, ...]]:
         return sorted(self.lattice.site_coords(i) for i in self.site_indices())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Region)
-            and self.lattice == other.lattice
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.lattice, self.mask))
 
     def __repr__(self):
         return f"Region({self.lattice.D}D L={self.lattice.L}, {self.size} sites)"

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gf2
 from .codes import STABILIZER, CodeSpec
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ValidationError, certify
 from .pauli import PauliOp, omega
 
 _MAX_COSET_ENUM_RANK = 16
@@ -200,8 +200,7 @@ def _symplectic_pairs(vectors: List[int], n: int) -> List[Tuple[int, int]]:
         v = pool.pop(0)
         ov = omega(v, n)
         i = next((i for i, u in enumerate(pool) if gf2.parity(u & ov)), None)
-        if i is None:
-            raise ValidationError("degenerate symplectic form on logical candidates")
+        certify(i is not None, "degenerate symplectic form on logical candidates")
         partner = pool.pop(i)
         op = omega(partner, n)
         cleaned = []
@@ -245,8 +244,7 @@ class CodeStructure:
         self.CG = centralizer(self.G)
         self.S = self.G if code.role == STABILIZER else _intersection(self.G, self.CG)
         self.s = self.S.rank
-        if (self.G.rank - self.s) % 2:
-            raise ValidationError("gauge rank minus center rank must be even")
+        certify((self.G.rank - self.s) % 2 == 0, "gauge rank minus center rank must be even")
         self.g = (self.G.rank - self.s) // 2
         self.k = n - self.s - self.g
         self.stab_omega = tuple(omega(r, n) for r in self.S.rows)
@@ -260,12 +258,10 @@ class CodeStructure:
 
         gauge_cands = sorted(self.G.rows, key=sort_key)
         gauge_ext = gf2.extend_basis(self.S.rows, gauge_cands)
-        if len(gauge_ext) != 2 * self.g:
-            raise ValidationError("gauge extension has wrong dimension")
+        certify(len(gauge_ext) == 2 * self.g, "gauge extension has wrong dimension")
         used_cands = sorted(self.CG.rows, key=sort_key)
         used_ext = gf2.extend_basis(list(self.S.rows) + gauge_ext, used_cands)
-        if len(used_ext) != 2 * self.k:
-            raise ValidationError("logical extension has wrong dimension")
+        certify(len(used_ext) == 2 * self.k, "logical extension has wrong dimension")
 
         reduce = CosetReducer(self.S.rows, n)
 

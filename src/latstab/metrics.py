@@ -421,24 +421,14 @@ def distance_dp(
         d = len(shared)
 
     # keys[i] is the key of the state combine(i, basis) of the current
-    # front; trail[p] keeps only the letters of front p, packed.  Positions
-    # often repeat their low coordinates, so each low span is built once and
-    # kept until its last use
-    last_use = {tuple(coords[:_BLOCK_BITS]): p for p, (*_, coords) in enumerate(steps)}
-    lows = {}
+    # front; trail[p] keeps only the letters of front p, packed
     keys = np.zeros(1, dtype=np.uint16)
     trail = [_pack_letters(keys)]
-    for p, (d, t, moves, coords) in enumerate(steps):
+    for d, t, moves, coords in steps:
         keys &= ~np.uint16(3)  # the trail holds the letters; steps read weights
         grown = _letter_step(keys, d, t, moves).reshape(-1)
         keys = None  # freed before the gather
-        low_coords = tuple(coords[:_BLOCK_BITS])
-        low = lows.get(low_coords)
-        if low is None:
-            low = lows[low_coords] = _span(low_coords)
-        if last_use[low_coords] == p:
-            del lows[low_coords]
-        keys = _gather_span(grown, low, _span(coords[_BLOCK_BITS:]))
+        keys = _gather_span(grown, _span(coords[:_BLOCK_BITS]), _span(coords[_BLOCK_BITS:]))
         del grown
         trail.append(_pack_letters(keys))
 

@@ -13,19 +13,25 @@ order is all X-bits then all Z-bits.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 from .gf2 import parity
 
 _LETTERS = ("I", "X", "Z", "Y")  # indexed by x + 2*z
 LETTERS = ("X", "Y", "Z")  # the order of letter_pairings' triples
+# letter, in either case -> its (x, z) bits
+_BITS = {c: (i & 1, i >> 1) for i, letter in enumerate(_LETTERS) for c in (letter, letter.lower())}
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class PauliOp:
     """Immutable projective Pauli operator on n qubits."""
 
-    __slots__ = ("n", "x", "z")
+    n: int
+    x: int
+    z: int
 
     def __init__(self, n: int, x: int = 0, z: int = 0):
         mask = (1 << n) - 1
@@ -33,39 +39,28 @@ class PauliOp:
         object.__setattr__(self, "x", x & mask)
         object.__setattr__(self, "z", z & mask)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliOp is immutable")
-
     @staticmethod
     def identity(n: int) -> "PauliOp":
         return PauliOp(n)
 
     @staticmethod
     def single(n: int, qubit: int, letter: str) -> "PauliOp":
-        if not 0 <= qubit < n:
-            raise DimensionError(f"qubit {qubit} outside 0..{n - 1}")
-        letter = letter.upper()
-        if letter == "X":
-            return PauliOp(n, 1 << qubit, 0)
-        if letter == "Z":
-            return PauliOp(n, 0, 1 << qubit)
-        if letter == "Y":
-            return PauliOp(n, 1 << qubit, 1 << qubit)
-        if letter == "I":
-            return PauliOp(n)
-        raise ValueError(f"unknown Pauli letter {letter!r}")
+        return PauliOp.from_letters(n, [(qubit, letter)])
 
     @staticmethod
     def from_letters(n: int, letters: Iterable[tuple[int, str]]) -> "PauliOp":
+        """Product of single-qubit letters; a repeated qubit multiplies its
+        factors, so [(0, "Y"), (0, "X")] gives Z on qubit 0."""
         x = z = 0
         for qubit, letter in letters:
             if not 0 <= qubit < n:
                 raise DimensionError(f"qubit {qubit} outside 0..{n - 1}")
-            letter = letter.upper()
-            if letter in ("X", "Y"):
-                x |= 1 << qubit
-            if letter in ("Z", "Y"):
-                z |= 1 << qubit
+            try:
+                bx, bz = _BITS[letter]
+            except KeyError:
+                raise ValidationError(f"unknown Pauli letter {letter!r}") from None
+            x ^= bx << qubit
+            z ^= bz << qubit
         return PauliOp(n, x, z)
 
     @staticmethod
@@ -124,17 +119,6 @@ class PauliOp:
     def letters(self) -> Iterator[tuple[int, str]]:
         for q in self.support():
             yield q, self.letter(q)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliOp)
-            and self.n == other.n
-            and self.x == other.x
-            and self.z == other.z
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.x, self.z))
 
     def __repr__(self) -> str:
         if self.is_identity:

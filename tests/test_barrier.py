@@ -253,6 +253,25 @@ def test_failed_certificate_raises_under_optimize():
     assert run_optimized(script) == ["CertificateError", "False"] * 2
 
 
+def test_unsound_quotient_is_a_certificate_error(monkeypatch):
+    monkeypatch.setattr(barrier, "pairings", lambda *args: 1)
+    with pytest.raises(CertificateError, match="quotient unsound"):
+        barrier_exact(make_repetition_1d(3))
+
+
+def test_unsound_quotient_raises_under_optimize():
+    script = (
+        "import latstab.barrier as b\n"
+        "from latstab import CertificateError, make_repetition_1d\n"
+        "b.pairings = lambda *args: 1\n"
+        "try:\n"
+        "    b.barrier_exact(make_repetition_1d(3))\n"
+        "except CertificateError:\n"
+        "    print('CertificateError', __debug__)\n"
+    )
+    assert run_optimized(script) == ["CertificateError", "False"]
+
+
 def test_reconstruct_rejects_broken_parent_chain():
     with pytest.raises(CertificateError, match="no parent"):
         barrier._reconstruct(5, {0: -1}, [1], [(0, "X")])

@@ -14,6 +14,8 @@ from latstab import (
     make_toric_2d,
     span_basis,
 )
+from latstab import groups
+from latstab.errors import CertificateError
 from latstab.geometry import Region
 from latstab.gf2 import rank
 from latstab.groups import CosetReducer, GroupBasis, _intersection, _restricted_k
@@ -174,6 +176,14 @@ def test_logical_counts():
     xbar, zbar = rep.logicals.pairs[0]
     assert xbar.weight() == 6 and xbar.z == 0  # X on every site
     assert zbar.weight() == 1 and zbar.x == 0  # single Z
+
+
+def test_wrong_extension_dimension_is_a_certificate_error(monkeypatch):
+    # the extension lengths hold by construction; a broken kernel must show
+    # as a failed certificate, not as the caller's bad input
+    monkeypatch.setattr(groups.gf2, "extend_basis", lambda *args: [])
+    with pytest.raises(CertificateError, match="logical extension has wrong dimension"):
+        groups.CodeStructure(make_repetition_1d(3)).logicals
 
 
 def test_centralizer_factorization_rank_equation():

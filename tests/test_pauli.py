@@ -1,9 +1,21 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st_
 
-from latstab import PauliOp
+from latstab import (
+    Lattice,
+    PauliOp,
+    Region,
+    distance,
+    get_structure,
+    make_repetition_1d,
+    make_toric_2d,
+    strip_sweep,
+)
 from latstab.errors import DimensionError
 from latstab.gf2 import pairings
 from latstab.pauli import LETTERS, letter_pairings
@@ -21,6 +33,42 @@ def test_single_qubit_group_table():
     assert z.mul(x) == y  # projectively equal
     for p in (x, z, y):
         assert p.mul(p).is_identity
+
+
+def test_repeated_qubit_multiplies_its_factors():
+    assert P(1, [(0, "Y"), (0, "X")]) == PauliOp.single(1, 0, "Z")
+    assert P(2, [(1, "X"), (1, "X")]).is_identity
+    assert P(2, [(0, "y"), (1, "I")]) == PauliOp.single(2, 0, "Y")
+    rep = make_repetition_1d(3)
+    assert rep.parse_op("Y(1) X(1) Z(2)") == P(3, [(1, "Z"), (2, "Z")])
+    assert rep.parse_op("X(0) X(0)").is_identity
+
+
+@pytest.mark.parametrize("obj, field", [(PauliOp(2, 1), "x"), (PauliOp(2, 1), "n"),
+                                        (Region(Lattice(1, 3), 1), "mask")])
+def test_fields_are_frozen(obj, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, 0)
+
+
+TORIC = make_toric_2d(3)
+VALUES = {
+    "PauliOp": lambda: PauliOp(3, 1, 2),
+    "Region": lambda: Region.full(TORIC.lattice),
+    "CodeSpec": lambda: TORIC,
+    "LogicalBasis": lambda: get_structure(TORIC).logicals,
+    "DistanceResult": lambda: distance(TORIC),
+    "SweepResult": lambda: strip_sweep(TORIC, axis=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_pickle_copy_and_asdict(name):
+    value = VALUES[name]()
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    assert copy.copy(value) == value
+    assert dataclasses.asdict(value)
 
 
 def test_overlap_cancellation():
