@@ -175,7 +175,8 @@ def audit_instance(family: str, code: CodeSpec, params: Dict,
 
     # 1D gauge families: minimal-block procedure
     if lat.D == 1 and code.role != STABILIZER:
-        mb = minimal_block_search(code, axis=0, budgets=budgets)
+        mb = minimal_block_search(code, axis=0, budgets=budgets,
+                                  original_distance=d if dres.status == "exact" else None)
         if mb.found:
             rec.metrics["min_block_width"] = mb.width
             rec.metrics["min_block_distance"] = mb.d_M

@@ -35,7 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CodeFormatError, DimensionError, LocalityError, RegionError, ValidationError
 from .geometry import Lattice, Region, min_window
-from .pauli import PauliOp
+from .gf2 import combine, low_bit, transpose
+from .pauli import PauliOp, omega
 
 STABILIZER = "stabilizer"
 GAUGE = "gauge"
@@ -140,14 +141,16 @@ class CodeSpec:
             if g.is_identity:
                 raise ValidationError(f"generator {i} is the identity")
         if self.role == STABILIZER:
-            for i in range(len(self.generators)):
-                for j in range(i + 1, len(self.generators)):
-                    if not self.generators[i].commutes(self.generators[j]):
-                        raise ValidationError(
-                            f"stabilizer generators {i} and {j} anticommute: "
-                            f"{self.format_op(self.generators[i])!r} vs "
-                            f"{self.format_op(self.generators[j])!r}"
-                        )
+            gens = self.generators
+            table = transpose([omega(g.vector, self.n) for g in gens], 2 * self.n)
+            for i, g in enumerate(gens):
+                later = combine(g.vector, table) >> (i + 1)
+                if later:
+                    j = i + 1 + low_bit(later)
+                    raise ValidationError(
+                        f"stabilizer generators {i} and {j} anticommute: "
+                        f"{self.format_op(g)!r} vs {self.format_op(gens[j])!r}"
+                    )
         self.validate_locality()
 
     def support_extent(self, qubits: Sequence[int]) -> int:

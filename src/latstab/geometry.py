@@ -121,10 +121,6 @@ class Region:
         self._check(other)
         return Region(self.lattice, self.mask | other.mask)
 
-    def intersection(self, other: "Region") -> "Region":
-        self._check(other)
-        return Region(self.lattice, self.mask & other.mask)
-
     def _check(self, other: "Region"):
         if other.lattice != self.lattice:
             raise RegionError("regions live on different lattices")

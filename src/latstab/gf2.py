@@ -18,13 +18,18 @@ def low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def pairings(v: int, rows: Sequence[int]) -> int:
-    """Bit i is parity(v & rows[i]); with omega-swapped rows, bit i is set
-    exactly when v anticommutes with row i's operator."""
-    out = 0
+def transpose(rows: Sequence[int], ncols: int) -> List[int]:
+    """The rows' column table: bit i of entry c is bit c of rows[i], so for v
+    below 2^ncols bit i of combine(v, table) is parity(v & rows[i]), read at
+    the cost of v's set bits; with omega-swapped rows, v's anticommutations."""
+    cols = [0] * ncols
     for i, row in enumerate(rows):
-        out |= parity(v & row) << i
-    return out
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return cols
 
 
 def combine(mask: int, rows: Sequence[int]) -> int:

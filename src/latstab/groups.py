@@ -83,7 +83,8 @@ def _restricted_k(basis: GroupBasis, qubit_mask: int) -> int:
     n = basis.n
     m2 = qubit_mask | (qubit_mask << n)
     rows = [v for v in (r & m2 for r in basis.rows) if v]
-    gram = [gf2.pairings(omega(r, n), rows) for r in rows]
+    table = gf2.transpose(rows, 2 * n)
+    gram = [gf2.combine(omega(r, n), table) for r in rows]
     return qubit_mask.bit_count() - gf2.rank(rows) + gf2.rank(gram) // 2
 
 
@@ -248,6 +249,8 @@ class CodeStructure:
         self.g = (self.G.rank - self.s) // 2
         self.k = n - self.s - self.g
         self.stab_omega = tuple(omega(r, n) for r in self.S.rows)
+        self.gen_table = gf2.transpose(self.gen_omega, 2 * n)
+        self.stab_table = gf2.transpose(self.stab_omega, 2 * n)
 
     @cached_property
     def logicals(self) -> LogicalBasis:
@@ -288,6 +291,10 @@ class CodeStructure:
             class_rows.append(omega(xbar.vector, self.n))
         return tuple(class_rows)
 
+    @cached_property
+    def class_table(self) -> List[int]:
+        return gf2.transpose(self.class_omega, 2 * self.n)
+
     # -- linear maps ---------------------------------------------------------
     # The PauliOp forms check the operator's qubit count; the _vec forms take
     # a 2n-bit vector as given.
@@ -299,7 +306,7 @@ class CodeStructure:
 
     def syndrome_vec(self, v: int) -> int:
         """Anticommutation bits against the declared generator list."""
-        return gf2.pairings(v, self.gen_omega)
+        return gf2.combine(v, self.gen_table)
 
     def syndrome(self, op: PauliOp) -> int:
         return self.syndrome_vec(self._vector(op))
@@ -316,12 +323,12 @@ class CodeStructure:
         return self.energy_vec(self._vector(op))
 
     def stab_syndrome_vec(self, v: int) -> int:
-        return gf2.pairings(v, self.stab_omega)
+        return gf2.combine(v, self.stab_table)
 
     def class_bits_vec(self, v: int) -> int:
         """Pairing with the used logical pairs: bit 2j is the X-bar_j
         component (pairing with Z-bar_j), bit 2j+1 the Z-bar_j component."""
-        return gf2.pairings(v, self.class_omega)
+        return gf2.combine(v, self.class_table)
 
     def class_bits(self, op: PauliOp) -> int:
         return self.class_bits_vec(self._vector(op))
@@ -362,9 +369,9 @@ class CodeStructure:
         it.  class_mask restricts targets to ones overlapping the given
         used-class bits (see target_bits).
         """
-        rows = self.detector_rows(mode)
+        table = self.gen_table if self.detector_rows(mode) is self.gen_omega else self.stab_table
         targets = self.target_bits(class_mask)
-        return not gf2.pairings(v, rows) and bool(self.class_bits_vec(v) & targets)
+        return not gf2.combine(v, table) and bool(self.class_bits_vec(v) & targets)
 
     def is_logical(self, op: PauliOp, mode: str = "subsystem",
                    class_mask: Optional[int] = None) -> bool:
@@ -375,8 +382,9 @@ _structure_cache: Dict[CodeSpec, CodeStructure] = {}
 
 
 def get_structure(code: CodeSpec) -> CodeStructure:
-    if code not in _structure_cache:
+    st = _structure_cache.get(code)
+    if st is None:
         if len(_structure_cache) > 128:
             _structure_cache.clear()
-        _structure_cache[code] = CodeStructure(code)
-    return _structure_cache[code]
+        st = _structure_cache[code] = CodeStructure(code)
+    return st

@@ -81,10 +81,6 @@ class WalkTrace:
             final=op,
         )
 
-    def validate(self, structure: CodeStructure):
-        rebuilt = WalkTrace.build(structure, self.steps)
-        certify(rebuilt == self, "walk profile or endpoint does not match its steps")
-
 
 @dataclass(frozen=True)
 class BarrierResult:

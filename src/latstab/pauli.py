@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionError, ValidationError
-from .gf2 import parity
+from .gf2 import parity, transpose
 
 _LETTERS = ("I", "X", "Z", "Y")  # indexed by x + 2*z
 LETTERS = ("X", "Y", "Z")  # the order of letter_pairings' triples
@@ -135,14 +135,7 @@ def omega(vec: int, n: int) -> int:
 
 def letter_pairings(rows: Sequence[int], n: int) -> List[Tuple[int, int, int]]:
     """For each qubit q the masks (X_q, Y_q, Z_q): bit i of a letter's mask is
-    gf2.pairings of that single-qubit letter on q with rows[i].  Built in one
-    pass over the rows' set bits: bit q of a row feeds X_q, bit n + q feeds
-    Z_q, and Y = X ^ Z."""
-    cols = [0] * (2 * n)
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
+    the pairing of that single-qubit letter on q with rows[i].  Column q of
+    the rows' gf2.transpose is X_q, column n + q is Z_q, and Y = X ^ Z."""
+    cols = transpose(rows, 2 * n)
     return [(x, x ^ z, z) for x, z in zip(cols[:n], cols[n:])]

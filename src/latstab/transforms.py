@@ -282,13 +282,15 @@ def minimal_block_search(
     code: CodeSpec,
     axis: int = 0,
     budgets: Budgets = DEFAULT_BUDGETS,
+    original_distance: Optional[int] = None,
 ) -> MinimalBlockResult:
     """Smallest contiguous block (1D) or full-height strip (2D) whose
     restricted code keeps a logical qubit, with the restriction audit of
     that block.
 
     Verifies d_M <= r*L^(D-1) and d <= d_M + |shell qubits| <= 3r*L^(D-1);
-    in 1D these are the plain d_M <= r and d <= 3r bounds.
+    in 1D these are the plain d_M <= r and d <= 3r bounds.  A known d is
+    passed as ``original_distance`` and then not recomputed.
     """
     if code.lattice.D > 2:
         raise PreconditionError("minimal block search supports D = 1 or 2 only")
@@ -296,7 +298,7 @@ def minimal_block_search(
     for width, start, region in axis_windows(code.lattice, axis):
         if _restricted_k(G, code.qubit_mask_in(region)) == 0:
             continue
-        res = restriction_audit(code, region, budgets=budgets)
+        res = restriction_audit(code, region, original_distance, budgets)
         bound = code.declared_r * code.lattice.L ** (code.lattice.D - 1)
         checks = {
             "d_M <= r*L^(D-1)": res.d_M <= bound,

@@ -8,6 +8,7 @@ from latstab import (
     CodeSpec,
     Lattice,
     PauliOp,
+    WalkTrace,
     barrier_exact,
     barrier_walk_bound,
     distance_bruteforce,
@@ -84,7 +85,7 @@ def test_toric3_exact_value_and_bounds():
     d = distance_bruteforce(code, budgets=Budgets(weight_cap=3))
     wb = barrier_walk_bound(code, d.witness, "row_by_row", axis=0)
     assert wb.value >= 4
-    res.witness.validate(st)
+    assert WalkTrace.build(st, res.witness.steps) == res.witness
     assert res.witness.eps_max == 4
 
 
@@ -226,7 +227,7 @@ def test_search_visits_only_reached_cosets():
     res = barrier_exact(code, budgets=Budgets(node_cap=2**34))
     assert res.value == 4
     assert res.stats["nodes"] < 2**20
-    res.witness.validate(get_structure(code))
+    assert WalkTrace.build(get_structure(code), res.witness.steps) == res.witness
 
 
 def test_failed_certificate_raises(monkeypatch):
@@ -254,7 +255,7 @@ def test_failed_certificate_raises_under_optimize():
 
 
 def test_unsound_quotient_is_a_certificate_error(monkeypatch):
-    monkeypatch.setattr(barrier, "pairings", lambda *args: 1)
+    monkeypatch.setattr(barrier, "combine", lambda *args: 1)
     with pytest.raises(CertificateError, match="quotient unsound"):
         barrier_exact(make_repetition_1d(3))
 
@@ -263,7 +264,7 @@ def test_unsound_quotient_raises_under_optimize():
     script = (
         "import latstab.barrier as b\n"
         "from latstab import CertificateError, make_repetition_1d\n"
-        "b.pairings = lambda *args: 1\n"
+        "b.combine = lambda *args: 1\n"
         "try:\n"
         "    b.barrier_exact(make_repetition_1d(3))\n"
         "except CertificateError:\n"

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from latstab import (
@@ -200,6 +203,41 @@ def test_parse_rejects_anticommuting_stabilizers():
     with pytest.raises(ValidationError) as exc:
         parse_code(text)
     assert "anticommute" in str(exc.value)
+
+
+def _first_anticommuting_pair(gens):
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if not gens[i].commutes(gens[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("base", [make_repetition_1d(5), make_toric_2d(3), make_surface_2d(3)],
+                         ids=lambda code: code.name)
+def test_anticommuting_stabilizers_name_the_first_pair(base):
+    # planted low-weight operators among commuting generators: CodeSpec names
+    # the pair a pairwise commutes scan finds first, in the same message
+    rng = random.Random(25)
+    n = base.n
+    for _ in range(40):
+        gens = list(base.generators)
+        for _ in range(rng.randint(1, 3)):
+            # inside one generator's support, so the planted operator is local
+            support = rng.choice(base.generators).support()
+            qubits = rng.sample(support, rng.randint(1, 2))
+            planted = PauliOp.from_letters(n, [(q, rng.choice("XYZ")) for q in qubits])
+            gens.insert(rng.randint(0, len(gens)), planted)
+        pair = _first_anticommuting_pair(gens)
+        if pair is None:
+            assert dataclasses.replace(base, generators=gens).generators == tuple(gens)
+            continue
+        i, j = pair
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(base, generators=gens)
+        assert str(exc.value) == (
+            f"stabilizer generators {i} and {j} anticommute: "
+            f"{base.format_op(gens[i])!r} vs {base.format_op(gens[j])!r}")
 
 
 def test_parse_reports_line_numbers():

@@ -79,13 +79,17 @@ def test_extend_basis_greedy():
 
 
 def test_pairings_match_commutation_oracle():
+    # a pairing is combine over the rows' column table; widths around the
+    # 64-bit word edges, with empty row lists and the zero vector
     rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(1, 6)
+    sizes = [rng.randint(1, 6) for _ in range(200)] + [1, 63, 64, 65, 130] * 20
+    for t, n in enumerate(sizes):
         ops = [PauliOp(n, rng.getrandbits(n), rng.getrandbits(n))
-               for _ in range(rng.randint(0, 8))]
-        p = PauliOp(n, rng.getrandbits(n), rng.getrandbits(n))
-        bits = gf2.pairings(p.vector, [omega(q.vector, n) for q in ops])
+               for _ in range(rng.randint(0, 8) if t % 7 else 0)]
+        p = PauliOp(n, rng.getrandbits(n), rng.getrandbits(n)) if t % 6 else PauliOp.identity(n)
+        table = gf2.transpose([omega(q.vector, n) for q in ops], 2 * n)
+        assert len(table) == 2 * n
+        bits = gf2.combine(p.vector, table)
         assert bits >> len(ops) == 0
         for i, q in enumerate(ops):
             assert (bits >> i) & 1 == (not p.commutes(q))

@@ -182,7 +182,7 @@ def test_walk_trace_invariants():
     st = get_structure(code)
     steps = [(0, "X"), (1, "X"), (2, "X"), (3, "X")]
     trace = WalkTrace.build(st, steps)
-    trace.validate(st)
+    assert WalkTrace.build(st, trace.steps) == trace
     assert trace.final == PauliOp(4, 0b1111, 0)
     assert trace.profile == (2, 2, 2, 0)
     assert trace.eps_max == 2

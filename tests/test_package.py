@@ -76,3 +76,46 @@ def test_package_calls_no_blas():
 ])
 def test_blas_guard_catches(source):
     assert list(_blas_uses(ast.parse(source)))
+
+
+def _defined_name(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return node.id
+    return None
+
+
+def _pairing_helper_breaches(module, tree):
+    # one pairing helper: gf2 alone builds column tables (transpose) and has
+    # no per-row pairings loop; only pauli calls PauliOp.commutes
+    for node in ast.walk(tree):
+        name = _defined_name(node)
+        if (name == "pairings" and module == "gf2.py"
+                or name == "transpose" and module != "gf2.py"):
+            yield node.lineno, f"defines {name}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "commutes" and module != "pauli.py"):
+            yield node.lineno, "calls .commutes("
+
+
+def test_package_pairs_through_one_helper():
+    src = Path(latstab.__file__).parent
+    breaches = [f"{path.name}:{line} {what}"
+                for path in sorted(src.glob("*.py"))
+                for line, what in _pairing_helper_breaches(
+                    path.name, ast.parse(path.read_text(), str(path)))]
+    assert breaches == []
+
+
+@pytest.mark.parametrize("module, source, caught", [
+    ("gf2.py", "def pairings(v, rows): pass", True),
+    ("gf2.py", "pairings = None", True),
+    ("groups.py", "def transpose(rows, ncols): pass", True),
+    ("codes.py", "a.commutes(b)", True),
+    ("gf2.py", "def transpose(rows, ncols): pass", False),
+    ("pauli.py", "a.commutes(b)", False),
+    ("codes.py", "from .gf2 import transpose\ntable = transpose(rows, 2 * n)", False),
+])
+def test_pairing_guard_catches(module, source, caught):
+    assert bool(list(_pairing_helper_breaches(module, ast.parse(source)))) == caught

@@ -17,7 +17,7 @@ from latstab import (
     strip_sweep,
 )
 from latstab.errors import DimensionError
-from latstab.gf2 import pairings
+from latstab.gf2 import combine, transpose
 from latstab.pauli import LETTERS, letter_pairings
 
 from conftest import all_paulis
@@ -163,6 +163,7 @@ def test_letter_pairings_matches_single_qubit_pairings(n):
     rng.shuffle(rows)
     table = letter_pairings(rows, n)
     assert len(table) == n
+    cols = transpose(rows, 2 * n)
     for q, masks in enumerate(table):
-        assert masks == tuple(pairings(PauliOp.single(n, q, letter).vector, rows)
+        assert masks == tuple(combine(PauliOp.single(n, q, letter).vector, cols)
                               for letter in LETTERS)

@@ -28,10 +28,12 @@ from latstab import (
     restriction_audit,
     strip_sweep,
 )
+from latstab.audit import audit_instance
 from latstab.errors import (CapacityError, CertificateError, ContractViolation,
                              NoLogicalQubitsError, PreconditionError)
 from latstab.geometry import Region, axis_windows
 from latstab.groups import _restricted_k
+from latstab.zoo import FAMILIES
 
 from conftest import random_centralizer_element
 
@@ -384,3 +386,21 @@ def test_wrong_restricted_k_raises_certificate_error(monkeypatch):
     code = make_toric_2d(3)
     with pytest.raises(CertificateError):
         restriction_audit(code, Region.full(code.lattice), original_distance=3)
+
+
+@pytest.mark.parametrize("family, L", [("heisenberg", 3), ("heisenberg", 5), ("steane_chain", 3)])
+def test_audit_computes_the_parent_distance_once(family, L, monkeypatch):
+    # audit_instance hands its exact d to the minimal-block audit, so the
+    # restriction audit computes the restricted code's distance only
+    code = FAMILIES[family](L)
+    calls = []
+    real = transforms.distance
+
+    def counted(c, *args, **kwargs):
+        calls.append(c.name)
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "distance", counted)
+    rec = audit_instance(family, code, {"L": L})
+    assert rec.metrics["min_block_distance"] is not None
+    assert calls == [f"{code.name}|restricted"]
