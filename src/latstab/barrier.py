@@ -44,14 +44,14 @@ class _Quotient:
             u_rows += [zbar.vector, xbar.vector]
         self.synd_mask = (1 << st.s) - 1
         self.class_lo = st.s + 2 * st.g
-        self.u_omega = [omega(u, n) for u in u_rows]
-        # soundness: every Hamiltonian term and every label functional must be
-        # blind to S, else cosets would mix energies or target status
-        u_table = transpose(self.u_omega, 2 * n)
+        # the label functionals' column table; soundness: every Hamiltonian
+        # term and every label functional must be blind to S, else cosets
+        # would mix energies or target status
+        self.u_table = transpose([omega(u, n) for u in u_rows], 2 * n)
         for q in st.S.rows:
             certify(not st.syndrome_vec(q),
                     "quotient unsound: a Hamiltonian term anticommutes with S")
-            certify(not combine(q, u_table), "quotient unsound: label functional sees S")
+            certify(not combine(q, self.u_table), "quotient unsound: label functional sees S")
         # every Hamiltonian term over the label basis, from one factorization
         basis = Echelon(u_rows, 2 * n)
         self.gen_masks = []
@@ -93,7 +93,7 @@ def barrier_exact(
                                 required=required, cap=cap, reason=reason)
     quo = _Quotient(st)
     # edges by qubit, then X, Y, Z
-    deltas = [m for triple in letter_pairings(quo.u_omega, st.n) for m in triple]
+    deltas = [m for triple in letter_pairings(quo.u_table, st.n) for m in triple]
     edge_ops = [(q, letter) for q in range(st.n) for letter in LETTERS]
     delta_arr = np.array(deltas, dtype=np.uint64)
     gen_masks = [np.uint64(mask) for mask in quo.gen_masks]

@@ -137,6 +137,8 @@ def _parse_sites(spec: str, lattice) -> Region:
 
 
 def _region_arg(args, code) -> Region:
+    if args.box and args.sites:
+        raise LatstabError("give --box or --sites, not both")
     if args.box:
         return _parse_box(args.box, code.lattice)
     if args.sites:

@@ -159,45 +159,19 @@ def in_span(r: int, rref_rows: List[int], pivots: List[int]) -> bool:
     return _reduce(r, zip(pivots, rref_rows)) == 0
 
 
-def solve(rows: List[int], target: int, ncols: int) -> Optional[int]:
-    """Coefficient mask c with XOR of rows[i] over set bits of c == target.
-
-    Rows may be dependent; returns the solution picked by the deterministic
-    echelon order, or None when target is outside the span.  To solve many
-    targets against the same rows, factor once with ``Echelon(rows, ncols)``.
-    """
-    return Echelon(rows, ncols).solve(target)
-
-
-def left_kernel(rows: List[int], ncols: int) -> List[int]:
-    """Basis of coefficient masks c with XOR of rows selected by c == 0."""
-    return Echelon(rows, ncols).kernel
-
-
 def nullspace(rows: List[int], ncols: int) -> List[int]:
-    """Basis of {v : parity(r & v) == 0 for every row r}."""
+    """Basis of {v : parity(r & v) == 0 for every row r}: one vector per free
+    column f, f plus the pivots of the reduced rows holding f."""
     red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for row, p in zip(red, pivots):
-            if (row >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+    pivot_bits = [1 << p for p in pivots]
+    pivmask = sum(pivot_bits)
+    table = transpose(red, ncols)
+    return [1 << f | combine(table[f], pivot_bits) for f in range(ncols) if not pivmask >> f & 1]
 
 
 def intersect_spans(rows_a: List[int], rows_b: List[int], ncols: int) -> List[int]:
     """RREF basis of span(rows_a) ∩ span(rows_b)."""
     low = (1 << len(rows_a)) - 1
-    kernel = left_kernel(list(rows_a) + list(rows_b), ncols)
+    kernel = Echelon(list(rows_a) + list(rows_b), ncols).kernel
     return rref(combine(mask & low, rows_a) for mask in kernel)[0]
 
-
-def extend_basis(base_rows: Iterable[int], candidates: Iterable[int]) -> List[int]:
-    """Greedy independent extension: candidates (in order) independent of base."""
-    ech = Echelon(base_rows)
-    return [c for c in candidates if ech.extend((c,))]

@@ -93,7 +93,7 @@ def contained_subgroup(basis: GroupBasis, qubit_mask: int) -> GroupBasis:
     n = basis.n
     out_mask = ~(qubit_mask | (qubit_mask << n))
     outside = [r & out_mask for r in basis.rows]
-    rows = [gf2.combine(coeff, basis.rows) for coeff in gf2.left_kernel(outside, 2 * n)]
+    rows = [gf2.combine(coeff, basis.rows) for coeff in gf2.Echelon(outside, 2 * n).kernel]
     return GroupBasis(n, gf2.rref(rows)[0])
 
 
@@ -259,11 +259,11 @@ class CodeStructure:
         def sort_key(v):
             return (PauliOp.from_vector(n, v).weight(), v)
 
-        gauge_cands = sorted(self.G.rows, key=sort_key)
-        gauge_ext = gf2.extend_basis(self.S.rows, gauge_cands)
+        # greedy extensions of S: first by the gauge rows, then by C(G)'s
+        span = gf2.Echelon(self.S.rows)
+        gauge_ext = [v for v in sorted(self.G.rows, key=sort_key) if span.extend((v,))]
         certify(len(gauge_ext) == 2 * self.g, "gauge extension has wrong dimension")
-        used_cands = sorted(self.CG.rows, key=sort_key)
-        used_ext = gf2.extend_basis(list(self.S.rows) + gauge_ext, used_cands)
+        used_ext = [v for v in sorted(self.CG.rows, key=sort_key) if span.extend((v,))]
         certify(len(used_ext) == 2 * self.k, "logical extension has wrong dimension")
 
         reduce = CosetReducer(self.S.rows, n)
@@ -345,6 +345,10 @@ class CodeStructure:
             return self.gen_omega
         return self.stab_omega
 
+    def detector_table(self, mode: str) -> List[int]:
+        """The column table of detector_rows(mode)."""
+        return self.gen_table if self.detector_rows(mode) is self.gen_omega else self.stab_table
+
     def target_bits(self, class_mask: Optional[int]) -> int:
         """The used-class bits a target must overlap: all 2k of them for
         None, else the mask's bits among them (bits >= 2k name no pair).
@@ -369,8 +373,7 @@ class CodeStructure:
         it.  class_mask restricts targets to ones overlapping the given
         used-class bits (see target_bits).
         """
-        table = self.gen_table if self.detector_rows(mode) is self.gen_omega else self.stab_table
-        targets = self.target_bits(class_mask)
+        table, targets = self.detector_table(mode), self.target_bits(class_mask)
         return not gf2.combine(v, table) and bool(self.class_bits_vec(v) & targets)
 
     def is_logical(self, op: PauliOp, mode: str = "subsystem",

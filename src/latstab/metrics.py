@@ -34,7 +34,7 @@ from .errors import (
     certify,
 )
 from .geometry import axis_windows
-from .gf2 import Echelon, combine, extend_basis, gather, left_kernel, low_bit, nullspace, scatter
+from .gf2 import Echelon, combine, gather, low_bit, nullspace, scatter
 from .groups import CodeStructure, get_structure
 from .pauli import LETTERS, PauliOp, letter_pairings
 
@@ -131,13 +131,12 @@ def distance_bruteforce(
     enumeration_refusal refuses.
     """
     st = get_structure(code)
-    rows = st.detector_rows(mode)
+    n = code.n
+    det = letter_pairings(st.detector_table(mode), n)
     if st.k == 0:
         return DistanceResult(None, "no_logicals", mode, "bruteforce")
     targets = st.target_bits(class_mask)
-    n = code.n
-    det = letter_pairings(rows, n)
-    cls = letter_pairings(st.class_omega, n)
+    cls = letter_pairings(st.class_table, n)
     examined = 0
     for w in count(1):
         if enumeration_refusal(code, w, examined, budgets) is not None:
@@ -340,12 +339,12 @@ def distance_dp(
         )
     order = sorted(range(n), key=lambda q: (code.anchor(q)[axis], code.anchor(q), q))
     pos_of = {q: p for p, q in enumerate(order)}
-    det_rows = [r for r in rows if r]
     mask_n = (1 << n) - 1
 
-    # each row's window of positions
+    # each row's window of positions; no detector row is zero (generators are
+    # not the identity, the rows of S are independent)
     first, last = [], []
-    for row in det_rows:
+    for row in rows:
         supp = (row & mask_n) | (row >> n)
         ps = []
         while supp:
@@ -365,8 +364,8 @@ def distance_dp(
     # Detector row i's pairing moves to state bit bit_of[i]; rows sharing a
     # state bit have disjoint windows, so at most one of them pairs with q
     state_bits = [1 << b for b in bit_of]
-    det = letter_pairings(det_rows, n)
-    cls = letter_pairings(st.class_omega, n)
+    det = letter_pairings(st.detector_table(mode), n)
+    cls = letter_pairings(st.class_table, n)
     contribs = [(0, *(combine(dm, state_bits) | cm << det_width
                       for dm, cm in zip(det[q], cls[q]))) for q in order]
     closes = [0] * n
@@ -396,7 +395,7 @@ def distance_dp(
         # the cut front: the grown coordinates x whose state
         # combine(x, grown) has its closing bits zero
         close = closes[p]
-        kernel = left_kernel([g & close for g in grown], nbits)
+        kernel = Echelon([g & close for g in grown], nbits).kernel
         size = 1 << len(kernel)
         peak = max(peak, size)
         if size > budgets.dp_state_cap:
@@ -406,11 +405,12 @@ def distance_dp(
             )
         # the next chosen basis, in grown coordinates: a basis of
         # V_{p+1} ∩ front on top of the rest of the cut front
+        span = Echelon()
         shared = []
         if p + 1 < n:
-            inside = [ech.solve(v) for v in contribs[p + 1][1:] if not v & close]
-            shared = extend_basis((), (x for x in inside if x is not None))
-        coords = extend_basis(shared, kernel) + shared
+            inside = (ech.solve(v) for v in contribs[p + 1][1:] if not v & close)
+            shared = [x for x in inside if x is not None and span.extend((x,))]
+        coords = [x for x in kernel if span.extend((x,))] + shared
         steps.append((d, t, moves, coords))
         basis = [combine(x, grown) for x in coords]
         dims.append(len(basis))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionError, ValidationError
-from .gf2 import parity, transpose
+from .gf2 import parity
 
 _LETTERS = ("I", "X", "Z", "Y")  # indexed by x + 2*z
 LETTERS = ("X", "Y", "Z")  # the order of letter_pairings' triples
@@ -94,7 +94,12 @@ class PauliOp:
 
     def support(self) -> list[int]:
         s = self.x | self.z
-        return [i for i in range(self.n) if (s >> i) & 1]
+        out = []
+        while s:
+            low = s & -s
+            out.append(low.bit_length() - 1)
+            s ^= low
+        return out
 
     def support_mask(self) -> int:
         return self.x | self.z
@@ -133,9 +138,9 @@ def omega(vec: int, n: int) -> int:
     return (vec >> n) | ((vec & mask) << n)
 
 
-def letter_pairings(rows: Sequence[int], n: int) -> List[Tuple[int, int, int]]:
-    """For each qubit q the masks (X_q, Y_q, Z_q): bit i of a letter's mask is
-    the pairing of that single-qubit letter on q with rows[i].  Column q of
-    the rows' gf2.transpose is X_q, column n + q is Z_q, and Y = X ^ Z."""
-    cols = transpose(rows, 2 * n)
-    return [(x, x ^ z, z) for x, z in zip(cols[:n], cols[n:])]
+def letter_pairings(table: Sequence[int], n: int) -> List[Tuple[int, int, int]]:
+    """For each qubit q the masks (X_q, Y_q, Z_q), read off a row list's
+    column table (gf2.transpose(rows, 2n)): bit i of a letter's mask is the
+    pairing of that single-qubit letter on q with rows[i].  X_q is column q,
+    Z_q is column n + q, and Y = X ^ Z."""
+    return [(x, x ^ z, z) for x, z in zip(table[:n], table[n:])]

@@ -29,7 +29,7 @@ from .errors import (
     certify,
 )
 from .geometry import Region, axis_windows, boundary_shell, strip_partition
-from .gf2 import Echelon, combine, gather, solve
+from .gf2 import Echelon, combine, gather
 from .groups import CosetReducer, _restricted_k, contained_subgroup, get_structure
 from .metrics import _lightest_logical, distance, enumeration_refusal, linear_distance
 from .pauli import PauliOp
@@ -82,7 +82,7 @@ def clean_stabilizer(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult
     overlapping = [a for a, g in enumerate(code.generators) if g.support_mask() & mask]
     vectors = [code.generators[a].vector for a in overlapping]
     m2 = mask | (mask << code.n)
-    coeff = solve([v & m2 for v in vectors], restricted.vector, 2 * code.n)
+    coeff = Echelon([v & m2 for v in vectors], 2 * code.n).solve(restricted.vector)
     if coeff is not None:
         used = [a for i, a in enumerate(overlapping) if (coeff >> i) & 1]
         mult = PauliOp.from_vector(code.n, combine(coeff, vectors))

@@ -162,10 +162,13 @@ def test_malformed_code_file_exit_1(tmp_path, capsys, data):
     ["clean", "--code", "{code}", "--op", "", "--sites", "(0,0) junk (1,1) 7"],
     ["restrict-audit", "--code", "{code}", "--box", "0:2"],
     ["restrict-audit", "--code", "{code}", "--box", "0:2,1"],
+    ["clean", "--code", "{code}", "--op", "", "--box", "0:2,0:2", "--sites", "(0,0)"],
+    ["restrict-audit", "--code", "{code}", "--box", "0:2,0:2", "--sites", "(0,0)"],
 ], ids=["L_not_integer", "L_two_ranges", "site_empty_coordinate", "code_is_directory",
         "L_empty_range", "jobs_zero", "jobs_negative", "class_mask_with_walk",
         "exact_barrier_bad_axis", "node_cap_with_walk", "schedule_with_exact",
-        "class_mask_negative", "sites_stray_text", "box_range_count", "box_range_not_start_stop"])
+        "class_mask_negative", "sites_stray_text", "box_range_count", "box_range_not_start_stop",
+        "clean_box_and_sites", "restrict_audit_box_and_sites"])
 def test_malformed_cli_input_exit_1(bs3_file, tmp_path, capsys, argv):
     argv = [a.format(code=bs3_file, dir=tmp_path) for a in argv]
     assert main(argv) == 1

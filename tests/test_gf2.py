@@ -28,7 +28,7 @@ def test_solve_roundtrip_random():
         for i, r in enumerate(rows):
             if (coeff >> i) & 1:
                 target ^= r
-        sol = gf2.solve(rows, target, ncols)
+        sol = gf2.Echelon(rows, ncols).solve(target)
         assert sol is not None
         got = 0
         for i, r in enumerate(rows):
@@ -38,18 +38,18 @@ def test_solve_roundtrip_random():
 
 
 def test_solve_unsolvable():
-    assert gf2.solve([0b01], 0b10, 2) is None
+    assert gf2.Echelon([0b01], 2).solve(0b10) is None
 
 
 def test_left_kernel():
     rows = [0b01, 0b10, 0b11]
-    for mask in gf2.left_kernel(rows, 2):
+    for mask in gf2.Echelon(rows, 2).kernel:
         acc = 0
         for i, r in enumerate(rows):
             if (mask >> i) & 1:
                 acc ^= r
         assert acc == 0 and mask != 0
-    assert len(gf2.left_kernel(rows, 2)) == 1
+    assert len(gf2.Echelon(rows, 2).kernel) == 1
 
 
 def test_nullspace_orthogonality():
@@ -62,6 +62,10 @@ def test_nullspace_orthogonality():
         for v in basis:
             for r in rows:
                 assert gf2.parity(v & r) == 0
+        # the basis is the one with a single free column per vector, in order
+        pivots = gf2.rref(rows)[1]
+        pivmask = sum(1 << p for p in pivots)
+        assert [v & ~pivmask for v in basis] == [1 << f for f in range(ncols) if f not in pivots]
 
 
 def test_intersect_spans():
@@ -74,7 +78,8 @@ def test_intersect_spans():
 
 
 def test_extend_basis_greedy():
-    added = gf2.extend_basis([0b01], [0b01, 0b11, 0b10])
+    span = gf2.Echelon([0b01])
+    added = [c for c in [0b01, 0b11, 0b10] if span.extend((c,))]
     assert added == [0b11]
 
 

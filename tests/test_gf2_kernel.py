@@ -69,7 +69,7 @@ def test_factor_once_solve_matches_enumeration():
                 assert gf2.combine(sol, rows) == target
             else:
                 assert sol is None
-            assert sol == gf2.solve(rows, target, ncols)
+            assert sol == gf2.Echelon(rows, ncols).solve(target)
 
 
 def _assert_reduced(ech):
@@ -162,7 +162,7 @@ def test_left_kernel_counts_all_zero_combinations():
         ncols = rng.randint(1, 8)
         m = rng.randint(0, 10)
         rows = _random_rows(rng, m, ncols)
-        kernel = gf2.left_kernel(rows, ncols)
+        kernel = gf2.Echelon(rows, ncols).kernel
         assert len(kernel) == m - gf2.rank(rows)
         spanned = {0}
         for mask in kernel:

@@ -181,9 +181,10 @@ def test_logical_counts():
 def test_wrong_extension_dimension_is_a_certificate_error(monkeypatch):
     # the extension lengths hold by construction; a broken kernel must show
     # as a failed certificate, not as the caller's bad input
-    monkeypatch.setattr(groups.gf2, "extend_basis", lambda *args: [])
+    st = groups.CodeStructure(make_repetition_1d(3))
+    monkeypatch.setattr(groups.gf2.Echelon, "extend", lambda *args: 0)
     with pytest.raises(CertificateError, match="logical extension has wrong dimension"):
-        groups.CodeStructure(make_repetition_1d(3)).logicals
+        st.logicals
 
 
 def test_centralizer_factorization_rank_equation():

@@ -91,6 +91,12 @@ def test_weight_support():
     op = P(4, [(1, "X"), (2, "Z")])
     assert op.weight() == 2
     assert op.support() == [1, 2]
+    # seeded random operators around the 64-bit word edges, against an index scan
+    rng = random.Random(89)
+    for n in (1, 63, 64, 65, 130):
+        for _ in range(20):
+            op = PauliOp(n, rng.getrandbits(n) & rng.getrandbits(n), rng.getrandbits(n))
+            assert op.support() == [i for i in range(n) if op.letter(i) != "I"]
 
 
 def test_dimension_errors():
@@ -161,9 +167,9 @@ def test_letter_pairings_matches_single_qubit_pairings(n):
     rows += [0, 0]  # empty rows
     rows += rng.sample(rows, min(3, len(rows)))  # duplicates
     rng.shuffle(rows)
-    table = letter_pairings(rows, n)
-    assert len(table) == n
     cols = transpose(rows, 2 * n)
+    table = letter_pairings(cols, n)
+    assert len(table) == n
     for q, masks in enumerate(table):
         assert masks == tuple(combine(PauliOp.single(n, q, letter).vector, cols)
                               for letter in LETTERS)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from itertools import product
@@ -29,7 +30,7 @@ from latstab import (
     strip_sweep,
 )
 from latstab.audit import audit_instance
-from latstab.errors import (CapacityError, CertificateError, ContractViolation,
+from latstab.errors import (CapacityError, CertificateError, ContractViolation, LatstabError,
                              NoLogicalQubitsError, PreconditionError)
 from latstab.geometry import Region, axis_windows
 from latstab.groups import _restricted_k
@@ -207,6 +208,32 @@ def test_strip_sweep_needs_logicals():
                     [PauliOp.single(2, 0, "Z"), PauliOp.single(2, 1, "Z")])
     with pytest.raises(NoLogicalQubitsError):
         strip_sweep(code)
+
+
+def _clean_to_identity(st, op, mask, stabilizers):
+    # a cleaning that leaves nothing, so no sweep candidate certifies
+    return transforms.CleanResult("cleaned", cleaned=PauliOp.identity(st.n))
+
+
+def test_strip_sweep_falls_back_to_the_window_scan(monkeypatch):
+    # no zoo code reaches the fallback; the exact window scan supplies it
+    code = make_toric_2d(4)
+    monkeypatch.setattr(transforms, "_clean_on", _clean_to_identity)
+    res = strip_sweep(code, axis=0)
+    lres = transforms.linear_distance(code, 0, "subsystem")
+    assert res.method == "window_fallback"
+    assert (res.witness, res.extent) == (lres.witness, lres.value)
+    assert res.extent <= max(code.declared_r, 2)
+
+
+def test_strip_sweep_without_a_certified_witness_raises(monkeypatch):
+    code = make_toric_2d(4)
+    r = max(code.declared_r, 2)
+    wide = dataclasses.replace(transforms.linear_distance(code, 0, "subsystem"), value=r + 1)
+    monkeypatch.setattr(transforms, "_clean_on", _clean_to_identity)
+    monkeypatch.setattr(transforms, "linear_distance", lambda *args: wide)
+    with pytest.raises(LatstabError, match=f"no certified witness of extent <= {r}"):
+        strip_sweep(code, axis=0)
 
 
 def test_compress_qubits_keeps_locality_and_drops_identities():
