@@ -30,7 +30,7 @@ bit-exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CodeFormatError, DimensionError, LocalityError, RegionError, ValidationError
@@ -60,7 +60,7 @@ class CodeSpec:
     cell_scale: int = 1
     _cell_index: Dict[Tuple[int, ...], int] = field(init=False, compare=False, repr=False)
     _anchors: Tuple[Tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    _anchor_site: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _site_qubits: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.role not in (STABILIZER, GAUGE):
@@ -78,7 +78,7 @@ class CodeSpec:
         cells = tuple(tuple(c) for c in cells)
         cell_index = {}
         anchors = []
-        anchor_site = []
+        site_qubits = [0] * lattice.n_sites
         hi = scale * lattice.L if lattice.periodic else scale * (lattice.L - 1) + 1
         for q, cell in enumerate(cells):
             if len(cell) != lattice.D:
@@ -90,13 +90,13 @@ class CodeSpec:
             cell_index[cell] = q
             a = tuple(c // scale for c in cell)
             anchors.append(a)
-            anchor_site.append(lattice.site_index(a))
+            site_qubits[lattice.site_index(a)] |= 1 << q
         # frozen: the normalized fields and the tables are set once, here
         object.__setattr__(self, "qubit_cells", cells)
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "_cell_index", cell_index)
         object.__setattr__(self, "_anchors", tuple(anchors))
-        object.__setattr__(self, "_anchor_site", tuple(anchor_site))
+        object.__setattr__(self, "_site_qubits", tuple(site_qubits))
         self.validate()
 
     # -- structure ---------------------------------------------------------
@@ -116,14 +116,12 @@ class CodeSpec:
         return self._cell_index[cell]
 
     def qubit_mask_in(self, region: Region) -> int:
-        """Bitset of qubits whose anchor vertex lies in the region."""
+        """Bitset of qubits whose anchor vertex lies in the region: the OR,
+        here an XOR since each qubit has one anchor, of the region's sites'
+        qubit masks."""
         if region.lattice != self.lattice:
             raise RegionError("region lattice differs from the code lattice")
-        mask = 0
-        for q, site in enumerate(self._anchor_site):
-            if region.contains_index(site):
-                mask |= 1 << q
-        return mask
+        return combine(region.mask, self._site_qubits)
 
     def bounding_extent(self, op: PauliOp, axis: int) -> int:
         """Minimal contiguous (cyclic if periodic) axis window covering the
@@ -217,10 +215,6 @@ class CodeSpec:
         )
 
 
-def _default_cells(lattice: Lattice) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(lattice.sites())
-
-
 def serialize_code(code: CodeSpec) -> str:
     """Canonical text form; parse_code(serialize_code(c)) reproduces c."""
     lines = [
@@ -229,7 +223,7 @@ def serialize_code(code: CodeSpec) -> str:
         f"role={code.role}",
         f"r={code.declared_r}",
     ]
-    implicit = code.cell_scale == 1 and code.qubit_cells == _default_cells(code.lattice)
+    implicit = code.cell_scale == 1 and code.qubit_cells == tuple(code.lattice.sites())
     if not implicit:
         lines.append(f"scale={code.cell_scale}")
         lines.append("qubits:")
@@ -314,12 +308,4 @@ def parse_code(text: str) -> CodeSpec:
             generators.append(code.parse_op(line))
         except (CodeFormatError, ValidationError) as e:
             raise CodeFormatError(str(e), lineno)
-    return CodeSpec(
-        name=name,
-        lattice=lattice,
-        role=role,
-        declared_r=declared_r,
-        generators=generators,
-        qubit_cells=cells,
-        cell_scale=scale,
-    )
+    return replace(code, generators=generators)

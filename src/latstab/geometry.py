@@ -65,16 +65,8 @@ class Lattice:
         return tuple(reversed(coords))
 
     def sites(self) -> Iterator[Tuple[int, ...]]:
+        """Every site's coordinates, in index order (lexicographic)."""
         return product(range(self.L), repeat=self.D)
-
-    def axis_distance(self, a: int, b: int) -> int:
-        d = abs(a - b)
-        if self.periodic:
-            d = min(d, self.L - d)
-        return d
-
-    def linf(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return max(self.axis_distance(a, b) for a, b in zip(u, v))
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,12 +103,6 @@ class Region:
     def empty(lattice: Lattice) -> "Region":
         return Region(lattice, 0)
 
-    def contains(self, coords: Sequence[int]) -> bool:
-        return bool((self.mask >> self.lattice.site_index(coords)) & 1)
-
-    def contains_index(self, index: int) -> bool:
-        return bool((self.mask >> index) & 1)
-
     def union(self, other: "Region") -> "Region":
         self._check(other)
         return Region(self.lattice, self.mask | other.mask)
@@ -129,11 +115,10 @@ class Region:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def site_indices(self) -> List[int]:
-        return [i for i in range(self.lattice.n_sites) if (self.mask >> i) & 1]
-
     def site_coords(self) -> List[Tuple[int, ...]]:
-        return sorted(self.lattice.site_coords(i) for i in self.site_indices())
+        """The region's sites in index order, which is lexicographic."""
+        bits = bin(self.mask)[:1:-1]  # bit i is character i
+        return [u for u, b in zip(self.lattice.sites(), bits) if b == "1"]
 
     def __repr__(self):
         return f"Region({self.lattice.D}D L={self.lattice.L}, {self.size} sites)"
@@ -157,21 +142,23 @@ def min_window(L: int, periodic: bool, values: Iterable[int]) -> int:
 
 
 def boundary_shell(region: Region, r: int) -> Region:
-    """Sites outside the region within l-infinity distance r of it."""
+    """Sites outside the region within l-infinity distance r of it: the
+    region dilated by r along each axis in turn (cyclically if periodic),
+    minus the region."""
     if r < 1:
         raise PreconditionError(f"shell radius must be >= 1, got {r}")
     lat = region.lattice
-    inside = [lat.site_coords(i) for i in region.site_indices()]
-    mask = 0
-    if not inside:
-        return Region(lat, 0)
-    for i in range(lat.n_sites):
-        if region.contains_index(i):
-            continue
-        u = lat.site_coords(i)
-        if any(lat.linf(u, v) <= r for v in inside):
-            mask |= 1 << i
-    return Region(lat, mask)
+    L = lat.L
+
+    def reach(c):
+        if lat.periodic:
+            return {(c + s) % L for s in range(-r, r + 1)}
+        return range(max(c - r, 0), min(c + r + 1, L))
+
+    ball = set(region.site_coords())
+    for j in range(lat.D):
+        ball = {u[:j] + (c,) + u[j + 1:] for u in ball for c in reach(u[j])}
+    return Region(lat, Region.from_sites(lat, ball).mask & ~region.mask)
 
 
 def axis_window_region(lattice: Lattice, axis: int, start: int, width: int) -> Region:
@@ -180,11 +167,9 @@ def axis_window_region(lattice: Lattice, axis: int, start: int, width: int) -> R
     cols = {(start + i) % lattice.L if lattice.periodic else start + i for i in range(width)}
     if not lattice.periodic and any(c >= lattice.L or c < 0 for c in cols):
         raise RegionError("window extends beyond an open boundary")
-    mask = 0
-    for i in range(lattice.n_sites):
-        if lattice.site_coords(i)[axis] in cols:
-            mask |= 1 << i
-    return Region(lattice, mask)
+    ranges = [range(lattice.L)] * lattice.D
+    ranges[axis] = cols
+    return Region.from_sites(lattice, product(*ranges))
 
 
 def axis_windows(lattice: Lattice, axis: int) -> Iterator[Tuple[int, int, Region]]:

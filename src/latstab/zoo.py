@@ -28,22 +28,11 @@ def _cells_of_dim(D: int, L: int, dim: int) -> List[Cell]:
     return sorted(cells)
 
 
-def _torus_boundary(cell: Cell, L: int) -> List[Cell]:
-    out = []
-    for j, c in enumerate(cell):
-        if c % 2:
-            for s in (-1, 1):
-                out.append(cell[:j] + ((c + s) % (2 * L),) + cell[j + 1:])
-    return out
-
-
-def _torus_coboundary(cell: Cell, L: int) -> List[Cell]:
-    out = []
-    for j, c in enumerate(cell):
-        if c % 2 == 0:
-            for s in (-1, 1):
-                out.append(cell[:j] + ((c + s) % (2 * L),) + cell[j + 1:])
-    return out
+def _torus_faces(cell: Cell, L: int, odd: bool) -> List[Cell]:
+    """The cells one step from cell along its odd axes (its boundary) or
+    along its even axes (its coboundary)."""
+    return [cell[:j] + ((c + s) % (2 * L),) + cell[j + 1:]
+            for j, c in enumerate(cell) if c % 2 == odd for s in (-1, 1)]
 
 
 def _op_on_cells(n: int, index: Dict[Cell, int], cells: Sequence[Cell], letter: str) -> PauliOp:
@@ -68,29 +57,32 @@ def make_repetition_1d(L: int, boundary: str = OPEN) -> CodeSpec:
     )
 
 
+def _torus_code(name: str, D: int, L: int, qdim: int, xdim: int, zdim: int) -> CodeSpec:
+    """CSS code on the periodic L^D grid: qubits on qdim-cells, X checks on
+    xdim-cells and Z checks on zdim-cells, each check on its cell's boundary
+    if above qdim and on its coboundary if below."""
+    qcells = _cells_of_dim(D, L, qdim)
+    index = {c: i for i, c in enumerate(qcells)}
+    n = len(qcells)
+    gens = [_op_on_cells(n, index, _torus_faces(c, L, dim > qdim), letter)
+            for dim, letter in ((xdim, "X"), (zdim, "Z")) for c in _cells_of_dim(D, L, dim)]
+    return CodeSpec(
+        name=name,
+        lattice=Lattice(D, L, PERIODIC),
+        role=STABILIZER,
+        declared_r=2,
+        generators=gens,
+        qubit_cells=qcells,
+        cell_scale=2,
+    )
+
+
 def make_toric_2d(L: int) -> CodeSpec:
     """Toric code: qubits on edges of the periodic LxL grid, X stars on
     vertices, Z plaquettes on faces; n = 2L^2, k = 2."""
     if L < 2:
         raise ValidationError(f"toric code needs L >= 2, got {L}")
-    lattice = Lattice(2, L, PERIODIC)
-    edges = _cells_of_dim(2, L, 1)
-    index = {c: i for i, c in enumerate(edges)}
-    n = len(edges)
-    gens = []
-    for v in _cells_of_dim(2, L, 0):
-        gens.append(_op_on_cells(n, index, _torus_coboundary(v, L), "X"))
-    for f in _cells_of_dim(2, L, 2):
-        gens.append(_op_on_cells(n, index, _torus_boundary(f, L), "Z"))
-    return CodeSpec(
-        name=f"toric_2d(L={L})",
-        lattice=lattice,
-        role=STABILIZER,
-        declared_r=2,
-        generators=gens,
-        qubit_cells=edges,
-        cell_scale=2,
-    )
+    return _torus_code(f"toric_2d(L={L})", 2, L, 1, 0, 2)
 
 
 def make_generalized_toric(D: int, L: int) -> CodeSpec:
@@ -101,24 +93,7 @@ def make_generalized_toric(D: int, L: int) -> CodeSpec:
     if L < 2:
         raise ValidationError(f"generalized toric needs L >= 2, got {L}")
     dq = D // 2
-    lattice = Lattice(D, L, PERIODIC)
-    qcells = _cells_of_dim(D, L, dq)
-    index = {c: i for i, c in enumerate(qcells)}
-    n = len(qcells)
-    gens = []
-    for c in _cells_of_dim(D, L, dq + 1):
-        gens.append(_op_on_cells(n, index, _torus_boundary(c, L), "X"))
-    for c in _cells_of_dim(D, L, dq - 1):
-        gens.append(_op_on_cells(n, index, _torus_coboundary(c, L), "Z"))
-    return CodeSpec(
-        name=f"generalized_toric(D={D},L={L})",
-        lattice=lattice,
-        role=STABILIZER,
-        declared_r=2,
-        generators=gens,
-        qubit_cells=qcells,
-        cell_scale=2,
-    )
+    return _torus_code(f"generalized_toric(D={D},L={L})", D, L, dq, dq + 1, dq - 1)
 
 
 def make_surface_2d(L: int) -> CodeSpec:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -357,3 +358,25 @@ def test_center_locality_from_support_extent():
     assert _center_is_local(make_steane_chain(3))
     # the Bacon-Shor center is generated by two-column X and two-row Z strings
     assert not _center_is_local(make_bacon_shor_2d(3))
+
+
+# SHA-256 of serialize_code for the torus families at more sizes than the
+# golden code files (toric 3 and 8) cover.
+TORUS_SERIALIZATION_SHA = [
+    (make_toric_2d, (2,), "f58cdecbe936c55f54bc050e76f6fefa2201d4e19d512ae421b586d6e847f5e3"),
+    (make_toric_2d, (3,), "c7232a964c68c5bf1d003e741adecf17663315334b52096794d3c6a0a7f44248"),
+    (make_toric_2d, (4,), "dcaf61b9a2d0107a5c8378bfaf77d32bb5aeafd315dc75624fbb08d31860b73d"),
+    (make_toric_2d, (5,), "ca85d7d326a0c1f1fad734f97474da5aedf935d96ce557d876d227ca60355de0"),
+    (make_generalized_toric, (2, 2), "0da8275828725a88394d69422b502f5c8838260e099434faaa00e084c01f5865"),
+    (make_generalized_toric, (2, 3), "1344c3d9333a76a4c5f3a95643c131837a15e4f54d8faa2237a8815f87248322"),
+    (make_generalized_toric, (3, 2), "5520139a1e1c9bd6ebaf437bb875bc6ccc27cfeb1094597a2d6e6aeb11a91cd4"),
+    (make_generalized_toric, (3, 3), "c00c594f3d71adb4c9be6f6589320d4894b30d5a211418b12f4f56e635fba212"),
+    (make_generalized_toric, (4, 2), "50aa8ba7227e74faf46ed06c56f9f19dd0990eff646310d6c23d1c1d32576aa4"),
+]
+
+
+@pytest.mark.parametrize("build,args,sha", TORUS_SERIALIZATION_SHA,
+                         ids=[f"{b.__name__}{a}" for b, a, _ in TORUS_SERIALIZATION_SHA])
+def test_torus_serialization_is_pinned(build, args, sha):
+    text = serialize_code(build(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from latstab.errors import PreconditionError
@@ -11,6 +13,7 @@ from latstab.geometry import (
     strip_partition,
     strip_widths,
 )
+from latstab.zoo import make_bacon_shor_2d, make_generalized_toric, make_surface_2d, make_toric_2d
 
 
 def test_site_indexing_roundtrip():
@@ -112,3 +115,81 @@ def test_axis_windows_order(boundary):
     assert got == [(w, s) for w in (1, 2, 3) for s in range(starts[w])]
     for w, s, region in axis_windows(lat, 1):
         assert region == axis_window_region(lat, 1, s, w)
+
+
+# -- the lattice layer against direct per-site definitions --------------------
+def _axis_distance_oracle(lat, a, b):
+    d = abs(a - b)
+    return min(d, lat.L - d) if lat.periodic else d
+
+
+def _shell_oracle(region, r):
+    """Every outside site tested against every inside site, l-infinity metric."""
+    lat = region.lattice
+    inside = [lat.site_coords(i) for i in range(lat.n_sites) if region.mask >> i & 1]
+    mask = 0
+    for i in range(lat.n_sites):
+        if region.mask >> i & 1:
+            continue
+        u = lat.site_coords(i)
+        if any(max(_axis_distance_oracle(lat, a, b) for a, b in zip(u, v)) <= r
+               for v in inside):
+            mask |= 1 << i
+    return mask
+
+
+def _window_oracle(lat, axis, start, width):
+    """Every site's decoded coordinate tested against the window's columns."""
+    cols = {(start + i) % lat.L if lat.periodic else start + i for i in range(width)}
+    return sum(1 << i for i in range(lat.n_sites) if lat.site_coords(i)[axis] in cols)
+
+
+def _coords_oracle(region):
+    lat = region.lattice
+    return sorted(lat.site_coords(i) for i in range(lat.n_sites) if region.mask >> i & 1)
+
+
+def _lattices():
+    for D, Ls in ((1, range(2, 7)), (2, range(2, 7)), (3, range(2, 5))):
+        for L in Ls:
+            for boundary in ("open", "periodic"):
+                yield Lattice(D, L, boundary)
+
+
+def _random_regions(lat, rng, count=20):
+    yield Region.empty(lat)
+    yield Region.full(lat)
+    for _ in range(count):
+        density = rng.choice((0.05, 0.2, 0.5, 0.9))
+        yield Region(lat, sum(1 << i for i in range(lat.n_sites) if rng.random() < density))
+
+
+def test_shell_windows_and_coords_match_the_per_site_definitions():
+    rng = random.Random(20081983)
+    for lat in _lattices():
+        for region in _random_regions(lat, rng):
+            assert region.site_coords() == _coords_oracle(region)
+            for r in (1, 2, 3):
+                assert boundary_shell(region, r).mask == _shell_oracle(region, r), (lat, r)
+        for axis in range(lat.D):
+            for width, start, window in axis_windows(lat, axis):
+                assert window.mask == _window_oracle(lat, axis, start, width)
+
+
+def _qubit_mask_oracle(code, region):
+    """Each qubit's anchor vertex tested against the region, one qubit at a time."""
+    lat = code.lattice
+    return sum(1 << q for q in range(code.n)
+               if region.mask >> lat.site_index(code.anchor(q)) & 1)
+
+
+@pytest.mark.parametrize("code", [
+    make_toric_2d(3), make_toric_2d(4), make_surface_2d(3), make_surface_2d(4),
+    make_bacon_shor_2d(3), make_bacon_shor_2d(4), make_generalized_toric(3, 2),
+    make_generalized_toric(3, 3),
+], ids=lambda c: c.name)
+def test_qubit_mask_in_matches_the_per_qubit_anchor_scan(code):
+    rng = random.Random(code.name)
+    for region in _random_regions(code.lattice, rng):
+        assert code.qubit_mask_in(region) == _qubit_mask_oracle(code, region)
+
