@@ -387,7 +387,7 @@ def _write_csv(path: str, family: str, records) -> None:
             rec.metrics.get("d"),
             rec.metrics.get("d1"),
             rec.metrics.get("barrier"),
-            rec.metrics.get("barrier_method", rec.metrics.get("d_method")),
+            rec.metrics.get("barrier_method"),
             margins,
         ])
     with open(path, "w") as fh:

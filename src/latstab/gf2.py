@@ -168,10 +168,3 @@ def nullspace(rows: List[int], ncols: int) -> List[int]:
     table = transpose(red, ncols)
     return [1 << f | combine(table[f], pivot_bits) for f in range(ncols) if not pivmask >> f & 1]
 
-
-def intersect_spans(rows_a: List[int], rows_b: List[int], ncols: int) -> List[int]:
-    """RREF basis of span(rows_a) ∩ span(rows_b)."""
-    low = (1 << len(rows_a)) - 1
-    kernel = Echelon(list(rows_a) + list(rows_b), ncols).kernel
-    return rref(combine(mask & low, rows_a) for mask in kernel)[0]
-

@@ -71,8 +71,17 @@ def centralizer(basis: GroupBasis) -> GroupBasis:
     return GroupBasis(n, gf2.nullspace(rows, 2 * n))
 
 
-def _intersection(a: GroupBasis, b: GroupBasis) -> GroupBasis:
-    return GroupBasis(a.n, gf2.intersect_spans(list(a.rows), list(b.rows), 2 * a.n))
+def _gram(rows: Sequence[int], n: int) -> List[int]:
+    """The rows' symplectic Gram matrix: bit j of entry i says rows i, j anticommute."""
+    table = gf2.transpose(rows, 2 * n)
+    return [gf2.combine(omega(r, n), table) for r in rows]
+
+
+def _center(basis: GroupBasis) -> GroupBasis:
+    """The center of the span: the rows' combinations by the kernel of their
+    Gram matrix, which are the elements commuting with every row."""
+    kernel = gf2.Echelon(_gram(basis.rows, basis.n), basis.rank).kernel
+    return GroupBasis(basis.n, gf2.rref(gf2.combine(c, basis.rows) for c in kernel)[0])
 
 
 def _restricted_k(basis: GroupBasis, qubit_mask: int) -> int:
@@ -83,9 +92,7 @@ def _restricted_k(basis: GroupBasis, qubit_mask: int) -> int:
     n = basis.n
     m2 = qubit_mask | (qubit_mask << n)
     rows = [v for v in (r & m2 for r in basis.rows) if v]
-    table = gf2.transpose(rows, 2 * n)
-    gram = [gf2.combine(omega(r, n), table) for r in rows]
-    return qubit_mask.bit_count() - gf2.rank(rows) + gf2.rank(gram) // 2
+    return qubit_mask.bit_count() - gf2.rank(rows) + gf2.rank(_gram(rows, n)) // 2
 
 
 def contained_subgroup(basis: GroupBasis, qubit_mask: int) -> GroupBasis:
@@ -243,7 +250,7 @@ class CodeStructure:
         self.gen_omega = tuple(omega(v, n) for v in self.gen_vectors)
         self.G = span_basis(n, code.generators)
         self.CG = centralizer(self.G)
-        self.S = self.G if code.role == STABILIZER else _intersection(self.G, self.CG)
+        self.S = self.G if code.role == STABILIZER else _center(self.G)
         self.s = self.S.rank
         certify((self.G.rank - self.s) % 2 == 0, "gauge rank minus center rank must be even")
         self.g = (self.G.rank - self.s) // 2
@@ -257,7 +264,7 @@ class CodeStructure:
         n = self.n
 
         def sort_key(v):
-            return (PauliOp.from_vector(n, v).weight(), v)
+            return (_weight(v, n), v)
 
         # greedy extensions of S: first by the gauge rows, then by C(G)'s
         span = gf2.Echelon(self.S.rows)

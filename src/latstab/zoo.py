@@ -39,15 +39,22 @@ def _op_on_cells(n: int, index: Dict[Cell, int], cells: Sequence[Cell], letter: 
     return PauliOp.from_letters(n, [(index[c], letter) for c in cells])
 
 
+def _bonds(lattice: Lattice, axis: int) -> List[Tuple[int, int]]:
+    """Nearest-neighbour site-index pairs (a, b), b one step from a along the
+    axis, in order of a; on a periodic lattice the last site on the axis
+    steps to the first."""
+    step = lattice.L ** (lattice.D - 1 - axis)
+    lap = lattice.L * step  # index distance of one lap around the axis
+    return [(a, a - a % lap + (a + step) % lap) for a in range(lattice.n_sites)
+            if lattice.periodic or a % lap < lap - step]
+
+
 def make_repetition_1d(L: int, boundary: str = OPEN) -> CodeSpec:
     """Phase-flip-unprotected classical repetition code: ZZ couplings on a chain."""
     if L < 2:
         raise ValidationError(f"repetition code needs L >= 2, got {L}")
     lattice = Lattice(1, L, boundary)
-    pairs = [(i, i + 1) for i in range(L - 1)]
-    if boundary == PERIODIC:
-        pairs.append((L - 1, 0))
-    gens = [PauliOp.from_letters(L, [(a, "Z"), (b, "Z")]) for a, b in pairs]
+    gens = [PauliOp.from_letters(L, [(a, "Z"), (b, "Z")]) for a, b in _bonds(lattice, 0)]
     return CodeSpec(
         name=f"repetition_1d(L={L},{boundary})",
         lattice=lattice,
@@ -139,18 +146,8 @@ def make_bacon_shor_2d(L: int) -> CodeSpec:
     if L < 2:
         raise ValidationError(f"Bacon-Shor needs L >= 2, got {L}")
     lattice = Lattice(2, L, OPEN)
-    n = L * L
-
-    def q(i, j):
-        return lattice.site_index((i, j))
-
-    gens = []
-    for i in range(L - 1):
-        for j in range(L):
-            gens.append(PauliOp.from_letters(n, [(q(i, j), "X"), (q(i + 1, j), "X")]))
-    for i in range(L):
-        for j in range(L - 1):
-            gens.append(PauliOp.from_letters(n, [(q(i, j), "Z"), (q(i, j + 1), "Z")]))
+    gens = [PauliOp.from_letters(L * L, [(a, letter), (b, letter)])
+            for axis, letter in ((0, "X"), (1, "Z")) for a, b in _bonds(lattice, axis)]
     return CodeSpec(
         name=f"bacon_shor_2d(L={L})",
         lattice=lattice,
@@ -175,18 +172,9 @@ def make_heisenberg_gauge(D: int, L: int) -> CodeSpec:
             f"keeps X_all and Z_all outside the gauge group), got {L}"
         )
     lattice = Lattice(D, L, OPEN)
-    n = lattice.n_sites
-    pairs = []
-    for coords in lattice.sites():
-        for axis in range(D):
-            if coords[axis] + 1 < L:
-                nb = list(coords)
-                nb[axis] += 1
-                pairs.append((lattice.site_index(coords), lattice.site_index(tuple(nb))))
-    gens = []
-    for a, b in sorted(pairs):
-        for letter in ("X", "Y", "Z"):
-            gens.append(PauliOp.from_letters(n, [(a, letter), (b, letter)]))
+    bonds = sorted(pair for axis in range(D) for pair in _bonds(lattice, axis))
+    gens = [PauliOp.from_letters(lattice.n_sites, [(a, letter), (b, letter)])
+            for a, b in bonds for letter in ("X", "Y", "Z")]
     return CodeSpec(
         name=f"heisenberg_gauge(D={D},L={L})",
         lattice=lattice,

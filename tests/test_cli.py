@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -250,6 +251,16 @@ def test_audit_csv_columns(tmp_path, capsys):
     assert lines[0] == "family,L,n,k,r,participation,d,d1,barrier,method,margins"
     assert len(lines) == 3
     assert lines[1].startswith("toric,2,8,2,2,4,2,1,4,")
+
+
+def test_audit_csv_method_is_the_barrier_method(tmp_path):
+    # no barrier on generalized_toric 2, so its barrier and method cells stay empty
+    csvp = tmp_path / "t.csv"
+    assert main(["audit", "--family", "generalized_toric", "--L", "2",
+                 "--out", str(tmp_path / "t.json"), "--csv", str(csvp)]) == 0
+    with open(csvp, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["barrier"], row["method"]) for row in rows] == [("", "")]
 
 
 def test_audit_jobs_parallel_matches_serial(tmp_path):

@@ -19,7 +19,10 @@ from latstab import (
     parse_code,
     serialize_code,
 )
+from latstab import gf2
 from latstab.errors import CodeFormatError, LocalityError, ValidationError
+from latstab.groups import centralizer
+from latstab.zoo import _bonds
 
 ZOO = [
     make_repetition_1d(3),
@@ -380,3 +383,66 @@ TORUS_SERIALIZATION_SHA = [
 def test_torus_serialization_is_pinned(build, args, sha):
     text = serialize_code(build(*args))
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+# SHA-256 of serialize_code for the families built on nearest-neighbour bonds,
+# at more sizes than the golden code files (Bacon-Shor 3) cover.
+BOND_SERIALIZATION_SHA = [
+    (make_repetition_1d, (2, "open"), "6644d8b78936976faea1ab7962ebf7905502574932079b7fe8ba1b2a2582c08e"),
+    (make_repetition_1d, (2, "periodic"), "b185480e2b011591482e336742b90b03cae68901be273f7e9c22055492c79dc3"),
+    (make_repetition_1d, (3, "open"), "847548e893f9042490668faea34655f559996e36b6f1a1ad9a984b344e15c239"),
+    (make_repetition_1d, (3, "periodic"), "f8c9d5faf418902c378eb78ce587304015efaaf580b4946d3da5349852c47ff1"),
+    (make_repetition_1d, (4, "open"), "7c16abe0eed9c5de3ddac5fba3d4f72b9a886f3425ef1504aa2db02a3860930f"),
+    (make_repetition_1d, (4, "periodic"), "d03753abb57781e357430acad721a98b6792c1fb0fe90df78f9696bd7002915a"),
+    (make_repetition_1d, (5, "open"), "8018bbd7ceb1cbee7a1770341ec31a4cec981d6613ff98078a0d58b278a08c42"),
+    (make_repetition_1d, (5, "periodic"), "47d0f24f1d3f791fca4b9caae56aa461ef59f146a04fbb85005518c4d7961eb3"),
+    (make_bacon_shor_2d, (2,), "2e34551502ed6479d86b6460768819c5f6e0bf61c66024013479f13665592f39"),
+    (make_bacon_shor_2d, (3,), "7a6ab7f4d304d7988aac67e1bf8202fe5e5218c2cf080cee9dbf5c26d09a4396"),
+    (make_bacon_shor_2d, (4,), "e4336c65ca262bb61e66926584e092588bc710bdba3ec23c75357858e4f80920"),
+    (make_bacon_shor_2d, (5,), "eadbb11f4d2c1d57d406ad86ed1184fe619cc17840ba99d857a5f2cd5b023172"),
+    (make_heisenberg_gauge, (1, 3), "7ea67a1bc18cf2a6451ee87ff2228ccb1253f2f69534142e6ecd51254a8f4ec1"),
+    (make_heisenberg_gauge, (1, 5), "bd7b442d1be07433543e6f148c4ee5b8af4a5281eb934f0deb4d14b0b1300ce8"),
+    (make_heisenberg_gauge, (1, 7), "35a0a91fbc488c9eb41f134b708fecc03d32a9a7b78971161f723a1caac2c1f6"),
+    (make_heisenberg_gauge, (2, 3), "5759542eddc8fb22ec854c0f1b2243f4637318700c00c02dac713272a9247fbe"),
+    (make_heisenberg_gauge, (2, 5), "5d62fdad7946b3814458260e9cd54db27ddda43f1ef595ae8a49880898ad43e0"),
+]
+
+
+@pytest.mark.parametrize("build,args,sha", BOND_SERIALIZATION_SHA,
+                         ids=[f"{b.__name__}{a}" for b, a, _ in BOND_SERIALIZATION_SHA])
+def test_bond_serialization_is_pinned(build, args, sha):
+    text = serialize_code(build(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+def _center_by_intersection(G):
+    """G ∩ C(G) in reduced echelon form, from the dependencies among G's rows
+    and C(G)'s: the center as an intersection of spans."""
+    low = (1 << G.rank) - 1
+    kernel = gf2.Echelon(list(G.rows) + list(centralizer(G).rows), 2 * G.n).kernel
+    return gf2.rref(gf2.combine(mask & low, G.rows) for mask in kernel)[0]
+
+
+GAUGE_ZOO = ([make_bacon_shor_2d(L) for L in range(2, 6)]
+             + [make_heisenberg_gauge(1, L) for L in (3, 5, 7)]
+             + [make_heisenberg_gauge(2, L) for L in (3, 5)]
+             + [make_steane_chain(b) for b in (1, 3, 5)])
+
+
+@pytest.mark.parametrize("code", GAUGE_ZOO, ids=[c.name for c in GAUGE_ZOO])
+def test_gauge_center_is_the_intersection(code):
+    st = get_structure(code)
+    assert list(st.S.rows) == _center_by_intersection(st.G)
+
+
+@pytest.mark.parametrize("D,L,boundary", [(1, 2, "periodic"), (1, 4, "open"), (2, 3, "open"),
+                                          (2, 3, "periodic"), (3, 2, "periodic")])
+def test_bonds_step_along_each_axis(D, L, boundary):
+    lattice = Lattice(D, L, boundary)
+    for axis in range(D):
+        want = []
+        for u in lattice.sites():
+            if u[axis] + 1 < L or lattice.periodic:
+                nb = u[:axis] + ((u[axis] + 1) % L,) + u[axis + 1:]
+                want.append((lattice.site_index(u), lattice.site_index(nb)))
+        assert _bonds(lattice, axis) == want

@@ -23,7 +23,7 @@ from latstab import (
     make_repetition_1d,
     span_basis,
 )
-from latstab.groups import _intersection, _restricted_k
+from latstab.groups import _center, _restricted_k
 
 from conftest import all_paulis, walk_barrier_oracle
 
@@ -58,7 +58,7 @@ def test_center_matches_bruteforce():
         elems = span_elements(b)
         want = {p for p in elems if all(p.commutes(q) for q in elems)}
         # the stabilizer group of a gauge code: CodeStructure's S
-        got = span_elements(_intersection(b, centralizer(b)))
+        got = span_elements(_center(b))
         assert got == want
 
 

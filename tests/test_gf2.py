@@ -68,15 +68,6 @@ def test_nullspace_orthogonality():
         assert [v & ~pivmask for v in basis] == [1 << f for f in range(ncols) if f not in pivots]
 
 
-def test_intersect_spans():
-    # span{011,100} = {000,011,100,111}; span{011,110} = {000,011,110,101}
-    inter = gf2.intersect_spans([0b011, 0b100], [0b011, 0b110], 3)
-    assert inter == [0b011]
-    # overlapping spans: intersection of equal spans is the span
-    same = gf2.intersect_spans([0b01, 0b10], [0b11, 0b01], 2)
-    assert gf2.rank(same) == 2
-
-
 def test_extend_basis_greedy():
     span = gf2.Echelon([0b01])
     added = [c for c in [0b01, 0b11, 0b10] if span.extend((c,))]

@@ -90,7 +90,7 @@ def _defined_name(node):
 # the modules that own row lists, and so build their column tables
 TABLE_OWNERS = {"gf2.py", "codes.py", "groups.py", "barrier.py"}
 # gf2's GF(2) layer is Echelon and the column table; no wrapper re-factors
-GF2_RETIRED = {"solve", "left_kernel", "extend_basis", "pairings"}
+GF2_RETIRED = {"solve", "left_kernel", "extend_basis", "pairings", "intersect_spans"}
 
 
 def _module_names(tree):
@@ -142,6 +142,7 @@ def test_package_pairs_through_one_helper():
     ("gf2.py", "def solve(rows, target, ncols): pass", True),
     ("gf2.py", "def left_kernel(rows, ncols): pass", True),
     ("gf2.py", "def extend_basis(base_rows, candidates): pass", True),
+    ("gf2.py", "def intersect_spans(rows_a, rows_b, ncols): pass", True),
     ("gf2.py", "from .other import solve", True),
     ("gf2.py", "class Echelon:\n    def solve(self, target): pass", False),
     ("groups.py", "def solve(rows, target, ncols): pass", False),
