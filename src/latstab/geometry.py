@@ -177,10 +177,15 @@ def axis_windows(lattice: Lattice, axis: int) -> Iterator[Tuple[int, int, Region
     cyclic placements on a periodic lattice, in-bounds ones on an open one."""
     lattice.check_axis(axis)
     L = lattice.L
+    # each window is the OR of its width-1 columns: masks[start] grows by
+    # one column per width
+    cols = [axis_window_region(lattice, axis, c, 1).mask for c in range(L)]
+    masks = [0] * L
     for width in range(1, L + 1):
         starts = range(L) if lattice.periodic and width < L else range(L - width + 1)
         for start in starts:
-            yield width, start, axis_window_region(lattice, axis, start, width)
+            masks[start] |= cols[(start + width - 1) % L]
+            yield width, start, Region(lattice, masks[start])
 
 
 def strip_widths(L: int, r: int) -> List[int]:

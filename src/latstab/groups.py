@@ -235,11 +235,12 @@ def _orient_pair(n: int, a: int, b: int) -> Tuple[int, int]:
 class CodeStructure:
     """Cached group-theoretic decomposition of a code.
 
-    Construction computes the gauge group, its centralizer, the stabilizer
-    group (center for gauge codes), the counts s, g, k and the syndrome maps.
-    The deterministic logical basis (used and gauge pairs) and the
+    Construction computes the gauge group, the stabilizer group (center for
+    gauge codes), the counts s, g, k and the syndrome maps.  The centralizer
+    C(G), the deterministic logical basis (used and gauge pairs) and the
     logical-class map are built on first read, since callers that need only
-    the counts, such as the minimal-block search, never read them.
+    the counts, such as the minimal-block search, never read them; only the
+    logical basis reads C(G).
     """
 
     def __init__(self, code: CodeSpec):
@@ -249,7 +250,6 @@ class CodeStructure:
         self.gen_vectors = tuple(g.vector for g in code.generators)
         self.gen_omega = tuple(omega(v, n) for v in self.gen_vectors)
         self.G = span_basis(n, code.generators)
-        self.CG = centralizer(self.G)
         self.S = self.G if code.role == STABILIZER else _center(self.G)
         self.s = self.S.rank
         certify((self.G.rank - self.s) % 2 == 0, "gauge rank minus center rank must be even")
@@ -258,6 +258,11 @@ class CodeStructure:
         self.stab_omega = tuple(omega(r, n) for r in self.S.rows)
         self.gen_table = gf2.transpose(self.gen_omega, 2 * n)
         self.stab_table = gf2.transpose(self.stab_omega, 2 * n)
+
+    @cached_property
+    def CG(self) -> GroupBasis:
+        """C(G), the operators commuting with every element of G."""
+        return centralizer(self.G)
 
     @cached_property
     def logicals(self) -> LogicalBasis:

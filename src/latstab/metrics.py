@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, count, groupby
 from math import comb
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,47 +193,262 @@ def _color_intervals(first: List[int], last: List[int]) -> Tuple[List[int], int]
     return colors, next_color
 
 
-def _span(basis: Sequence[int]) -> "np.ndarray":
-    """Every element of span(basis): element i is the XOR of the basis
-    vectors that the bits of i select."""
-    out = np.zeros(1 << len(basis), dtype=np.int64)
-    for j, b in enumerate(basis):
-        out[1 << j:2 << j] = out[:1 << j] ^ b
+def _bits(x: int) -> List[int]:
+    """The set bits of x, lowest first."""
+    out = []
+    while x:
+        out.append(low_bit(x))
+        x &= x - 1
     return out
 
 
-_BLOCK_BITS = 14
+class _CanonicalBasis:
+    """A basis of a DP front in which each vector's pivot is its
+    soonest-closing detector bit (ties broken by bit) and no other vector
+    holds that bit.  A vector without detector bits has a class pivot, kept
+    out of the other class vectors only: class bits never close.  Each
+    vector is tagged by its coordinates over the DP's grown basis.
+
+    Adding a direction first reduces it by the pivots it holds, then clears
+    its own pivot from the vectors holding it.  That XOR adds only bits that
+    close no sooner than the pivot, so each pivot stays its vector's
+    soonest-closing bit; a detector bit closing at position p therefore lies
+    only in vectors whose pivot closes at p, and cutting the front at p is
+    dropping those vectors.
+    """
+
+    __slots__ = ("rows", "tags", "pivots", "det_mask", "close_at")
+
+    def __init__(self, det_width: int, nbits: int, n: int):
+        self.rows: Dict[int, int] = {}  # pivot bit -> vector
+        self.tags: Dict[int, int] = {}  # pivot bit -> coordinates
+        self.pivots = 0
+        self.det_mask = (1 << det_width) - 1
+        self.close_at = [n * 64 + b for b in range(nbits)]  # state bits < 64
+
+    def open(self, bit: int, last: int) -> None:
+        """A detector row on ``bit`` opens, closing at position ``last``."""
+        self.close_at[bit] = last * 64 + bit
+
+    def _reduce(self, v: int) -> Tuple[int, int, int]:
+        """v less the span's vectors with the pivots it holds, detector
+        pivots first and class ones only if no detector bit is left; with
+        those vectors' pivots and the XOR of their coordinates."""
+        used = tag = 0
+        for pivots in (self.pivots & self.det_mask, self.pivots):
+            held = v & pivots
+            for b in _bits(held):
+                v ^= self.rows[b]
+                tag ^= self.tags[b]
+            used |= held
+            if v & self.det_mask:
+                break
+        return v, used, tag
+
+    def solve(self, v: int) -> Optional[int]:
+        """The coordinates of v, or None when v is outside the span."""
+        v, _, tag = self._reduce(v)
+        return None if v else tag
+
+    def coefficients(self, s: int) -> int:
+        """The pivots of the vectors whose XOR is s, a vector of the span."""
+        return self._reduce(s)[1]
+
+    def add(self, v: int, tag: int) -> None:
+        """Extend by v, a direction new to the span, with coordinates tag."""
+        det_mask = self.det_mask
+        w, _, used_tag = self._reduce(v)
+        tag ^= used_tag
+        det = w & det_mask
+        piv = min(_bits(det), key=self.close_at.__getitem__) if det else low_bit(w)
+        for q, u in self.rows.items():
+            if u >> piv & 1 and (det or not u & det_mask):
+                self.rows[q] = u ^ w
+                self.tags[q] ^= tag
+        self.rows[piv] = w
+        self.tags[piv] = tag
+        self.pivots |= 1 << piv
+
+    def cut(self, close: int) -> None:
+        """Keep the span's states whose ``close`` bits are zero."""
+        for b in _bits(close & self.pivots):
+            del self.rows[b], self.tags[b]
+        self.pivots &= ~close
 
 
-def _gather_span(src: "np.ndarray", low: "np.ndarray", high: "np.ndarray") -> "np.ndarray":
-    """src[low[i] ^ high[j]] at index j * len(low) + i, gathered in blocks of
-    len(low) elements so no full index array is built.  With low and high the
-    spans of coords[:_BLOCK_BITS] and coords[_BLOCK_BITS:], element i is
-    src[combine(i, coords)]."""
-    out = np.empty(len(low) * len(high), dtype=src.dtype)
-    idx = np.empty_like(low)
-    for block, h in zip(out.reshape(len(high), -1), high):
-        # indices are in range; "clip" skips the bounds check and its buffer
-        np.take(src, np.bitwise_xor(low, h, out=idx), out=block, mode="clip")
-    return out
+def _move_cost(dim: int, m: int, slots: int, c: int, f: int) -> float:
+    """Estimated ns of _move from a front of 2^dim keys to one of 2^m with
+    ``slots`` letters per state, rotating c key bits and copying runs of 2^f
+    keys.  Per-key costs of numpy's copies and takes on a 2-core x86 host:
+    a rotation reads each key once (a 32-bit view splits one bit, a
+    transposed copy more); a take costs more per key the shorter its runs,
+    and every letter adds and takes a minimum; the block table costs about
+    (10 + 4 * slots) ns per block."""
+    rotate = 0.0 if c == 0 else 0.25 if c == 1 else 0.45 + 0.05 * c
+    take = (1.5, 0.41, 0.2, 0.13, 0.09)[min(f, 4)] + 0.12
+    return rotate * (1 << dim) + take * slots * (1 << m) + (10 + 4 * slots) * (1 << (m - f))
+
+
+def _next_layout(canon: _CanonicalBasis, shared: List[int], low: int, dim: int,
+                 slots: int) -> Tuple[List[int], int, int, List[int]]:
+    """The next front's chosen basis: its coordinates over the grown basis,
+    the rotation c and run f that _move reads them by, and its vectors.
+    canon's tags become coordinates over the new basis.
+
+    The basis is the canonical one less one vector per shared one, the
+    shared vectors (a basis of V_{p+1} ∩ front) on top.  Each shared vector
+    takes the place of the latest-closing canonical vector among those it
+    sums, after elimination by the shared vectors before it.  A kept vector
+    that is the grown basis's vector i < low keeps the coordinate 1 << i, a
+    unit; a unit no other coordinate touches is free.  If the free units are
+    c, c + 1, ..., c + f - 1, they go first, in order, so the next front's
+    lowest f coordinates are the current front's bits c..c + f - 1: with the
+    lowest c key bits rotated to the top, _move copies runs of 2^f keys, and
+    the order carries over to the next position.  c minimises _move_cost."""
+    tags = canon.tags
+    drop = 0
+    done: List[Tuple[int, int, int]] = []  # (dropped pivot, coefficients, shared sum)
+    for k, s in enumerate(shared):
+        coef, combo = canon.coefficients(s), 1 << k
+        for b, prior, prior_combo in done:
+            if coef >> b & 1:
+                coef ^= prior
+                combo ^= prior_combo
+        b = max(_bits(coef), key=canon.close_at.__getitem__)
+        done.append((b, coef, combo))
+        drop |= 1 << b
+    units, others = [], []
+    for b in sorted(canon.rows, key=canon.close_at.__getitem__):
+        if not drop >> b & 1:
+            x = tags[b]
+            (units if not x & (x - 1) and x >> low == 0 else others).append(b)
+    top = [canon.solve(s) for s in shared]
+    touched = 0
+    for x in [tags[b] for b in others] + top:
+        touched |= x
+    home = {b: tags[b].bit_length() - 1 for b in units}
+    run = [0] * (low + 1)  # run[c]: free units at c, c + 1, ...
+    for i in sorted((home[b] for b in units if not touched >> home[b] & 1), reverse=True):
+        run[i] = run[i + 1] + 1
+    m = len(units) + len(others) + len(shared)
+    c = min((c for c in range(low + 1) if c == 0 or run[c] and not run[c - 1]),
+            key=lambda c: _move_cost(dim, m, slots, c, run[c]))
+    first = sorted((b for b in units if home[b] >= c and not touched >> home[b] & 1),
+                   key=home.__getitem__)
+    kept = first + [b for b in units if home[b] < c or touched >> home[b] & 1] + others
+    coords = [tags[b] for b in kept] + top
+    # relabel: kept vector j is coordinate j; a dropped one solves the
+    # shared sums, last elimination first
+    for j, b in enumerate(kept):
+        tags[b] = 1 << j
+    for b, coef, combo in reversed(done):
+        tag = 0
+        for i in _bits(combo):
+            tag ^= 1 << (len(kept) + i)
+        for q in _bits(coef ^ 1 << b):
+            tag ^= tags[q]
+        tags[b] = tag
+    return coords, c, run[c], [canon.rows[b] for b in kept] + shared
 
 
 # A live DP key is (weight << 2) | letter in a uint16, the letter 0, 1, 2, 3
 # for I, X, Y, Z; a key of weight up to _MAX_WEIGHT plus a step's + 7 fits.
 _MAX_WEIGHT = 0x3FFD
 _COSTS = (0, 5, 6, 7)  # per letter I, X, Y, Z: weight + 1 and the letter
+_COST_KEYS = np.array(_COSTS, dtype=np.uint16)
 
 
-def _pack_letters(keys: "np.ndarray") -> "np.ndarray":
-    """The 2-bit letters of ``keys``, four per byte in quarters: with b the
-    packed length, letter i sits in bits 2 * (i // b) of byte i % b."""
-    if len(keys) < 4:
-        keys = np.concatenate([keys, np.zeros(4 - len(keys), dtype=keys.dtype)])
-    quarters = keys.reshape(4, -1)
-    out = (quarters[0] & 3).astype(np.uint8)
-    for j in (1, 2, 3):
-        out |= (quarters[j] & 3) << (2 * j)
-    return out
+def _rotate(keys: "np.ndarray", c: int, out: "np.ndarray") -> None:
+    """keys with the lowest c bits of the index moved to the top, into out:
+    key i goes to (i >> c) | (i % 2^c) << (dim - c).  keys is scratch
+    afterwards."""
+    q = len(keys) >> c
+    if c == 1:
+        # a little-endian 32-bit word holds keys 2j (low half) and 2j + 1
+        words = keys.view("<u4")
+        np.copyto(out[:q], words, casting="unsafe")
+        words >>= 16
+        np.copyto(out[q:], words, casting="unsafe")
+    else:
+        np.copyto(out.reshape(1 << c, q), keys.reshape(q, 1 << c).T)
+
+
+# rows of the next front whose source rows _move computes at a time
+_TABLE_ROWS = 1 << 12
+
+
+def _move(bufs: List["np.ndarray"], tmp: "np.ndarray", dim: int, d: int, t: int,
+          moves: Sequence[int], coords: Sequence[int], c: int, f: int) -> "np.ndarray":
+    """One DP position: bufs[0] starts with the keys of a front of 2^dim
+    states; the next front's keys are written into the start of one of the
+    two buffers, which becomes bufs[0], and returned.  The rest is scratch,
+    as is ``tmp``, which holds at least one run of 2^f keys.
+
+    Next key y is the least over letters of key x ^ (move << low) plus the
+    letter's cost, x = combine(y, coords) in the grown front, over the
+    letters whose move keeps x's new directions (its bits from low + d on)
+    inside the front.  With the lowest c key bits rotated to the top, y's
+    lowest f bits are the keys' lowest f bits (_next_layout), so the keys
+    read as rows of 2^f and each letter is one take of whole rows, their
+    numbers from a table over y's higher bits, one entry per row, built for
+    a bounded batch of rows at a time.  A state's letters fill 4 >> (t - d)
+    slots; a slot's letter can change from row to row only when t > d.  The
+    first slot is taken straight into the result, each other one through
+    ``tmp`` and a minimum."""
+    low = dim - d
+    m = len(coords)
+    if c:
+        _rotate(bufs[0][:1 << dim], c, bufs[1][:1 << dim])
+        bufs.reverse()
+    run = 1 << f
+    src = bufs[0][:1 << dim].reshape(-1, run)
+    out = bufs[1][:1 << m].reshape(-1, run)
+    batch = min(len(out), len(tmp) >> f, _TABLE_ROWS).bit_length() - 1
+    x0 = np.zeros(1 << batch, dtype=np.int64)  # grown state of each row
+    for j, v in enumerate(coords[f:f + batch]):
+        np.bitwise_xor(x0[:1 << j], v, out=x0[1 << j:2 << j])
+    shift = low - c - f
+    # slot k of a row whose new directions are h holds letter fits[k][h]
+    fits = np.array([[li for li in range(4) if moves[li] >> d == h]
+                     for h in range(1 << (t - d))], dtype=np.intp).T
+    step = np.array(moves, dtype=np.int64) << shift
+    for start in range(0, len(out), len(x0)):
+        x = x0 ^ combine(start >> batch, coords[f + batch:])
+        # each row's source row, rotated like the keys, before the move
+        row = ((x >> c) ^ ((x & ((1 << c) - 1)) << (dim - c))) >> f
+        new = x >> (low + d)
+        part = out[start:start + len(x)]
+        for k, letter in enumerate(fits):
+            if t > d:
+                li = letter[new]
+                index, cost = row ^ step[li], _COST_KEYS[li][:, None]
+            else:
+                index, cost = row ^ step[k], _COSTS[k]
+            block = tmp[:part.size].reshape(-1, run) if k else part
+            # indices are in range; "clip" skips the bounds check and buffer
+            np.take(src, index, axis=0, out=block, mode="clip")
+            np.add(block, cost, out=block)
+            if k:
+                np.minimum(part, block, out=part)
+    bufs.reverse()
+    return out.reshape(-1)
+
+
+def _pack_letters(keys: "np.ndarray", scratch: "np.ndarray") -> "np.ndarray":
+    """The 2-bit letters of ``keys``, four per byte: letter i sits in bits
+    2 * (i % 4) of byte i // 4.  The keys' low bytes go into ``scratch``
+    (uint16, at least len(keys) / 2 + 2 entries), read as little-endian
+    32-bit words: a mask keeps the letters and one multiplication gathers a
+    word's four into its top byte."""
+    n = len(keys)
+    low = scratch.view(np.uint8)[:-(-n // 4) * 4]
+    low[n:] = 0
+    np.copyto(low[:n], keys, casting="unsafe")
+    words = low.view("<u4")
+    words &= 0x03030303
+    words *= 0x01041040  # letter j of the word lands in bits 24 + 2j
+    words >>= 24
+    return words.astype(np.uint8)
 
 
 def _dp_witness(steps, trail, dims, i: int) -> List[int]:
@@ -241,44 +456,22 @@ def _dp_witness(steps, trail, dims, i: int) -> List[int]:
     coordinates ``i`` in the last front, rebuilt backward.  trail[p] holds, at
     each state's coordinates in front p's chosen basis, the letter that first
     reached it at its least weight; dims[p] is front p's dimension and
-    steps[p] = (d, t, moves, coords) its step, coords giving the next front's
-    basis in coordinates of the grown front p.  The XOR transitions are
-    invertible, so each step undoes that letter's move on the top coordinates
-    and certifies that the predecessor lies in front p, below 2^dims[p].
-    That certificate checks the walk against the steps only; distance_dp
-    checks the letters' contributions against the final state."""
+    steps[p] = (d, t, moves, coords, c, f) its step, coords giving the next
+    front's basis in coordinates of the grown front p.  The XOR transitions
+    are invertible, so each step undoes that letter's move on the top
+    coordinates and certifies that the predecessor lies in front p, below
+    2^dims[p].  That certificate checks the walk against the steps only;
+    distance_dp checks the letters' contributions against the final state."""
     letters = []
     for p in range(len(steps) - 1, -1, -1):
         packed = trail[p + 1]
-        li = int(packed[i % len(packed)]) >> (2 * (i // len(packed))) & 3
-        d, _, moves, coords = steps[p]
+        li = int(packed[i >> 2]) >> 2 * (i & 3) & 3
+        d, _, moves, coords = steps[p][:4]
         i = combine(i, coords) ^ moves[li] << (dims[p] - d)
         certify(not i >> dims[p], f"DP predecessor at position {p} is not in its front")
         letters.append(li)
     letters.reverse()
     return letters
-
-
-def _letter_step(keys: "np.ndarray", d: int, t: int, moves: Sequence[int]) -> "np.ndarray":
-    """Keys of the grown front as a (2^t, R) array: row a is the minimum over
-    letters of the front's row a ^ moves[letter] plus the letter's cost.  The
-    front is the grown front's rows below 2^d; a source row at or above it
-    is a new direction that no state reaches yet, and is skipped."""
-    old = keys.reshape(1 << d, -1)
-    grown = np.empty((1 << t, old.shape[1]), dtype=np.uint16)
-    tmp = np.empty(old.shape[1], dtype=np.uint16)
-    for a, row in enumerate(grown):
-        reached = False
-        for cost, move in zip(_COSTS, moves):
-            src = a ^ move
-            if src >> d:
-                continue
-            if reached:
-                np.minimum(row, np.add(old[src], cost, out=tmp), out=row)
-            else:
-                np.add(old[src], cost, out=row)
-                reached = True
-    return grown
 
 
 def distance_dp(
@@ -304,26 +497,28 @@ def distance_dp(
     span{X, Z} (Y = X ^ Z); the chosen basis puts a basis of V ∩ front in
     its top coordinates, and the directions of V new to the front go above
     them, so every letter moves only the top t <= 2 coordinates of the grown
-    front and acts on whole contiguous blocks of keys.  One gather per
-    position, read in blocks, then takes the next front, in its own chosen
-    basis, out of the grown front, which also drops the states whose closing
-    bits are set.
+    front.  The rest of the chosen basis comes from a canonical basis whose
+    vectors are cut exactly when their soonest-closing bit closes
+    (_CanonicalBasis), laid out so most coordinates keep their key bit from
+    one front to the next (_next_layout).  Each position is then one move
+    (_move): per letter, a take of whole runs of keys through a small table
+    of rows, with no grown front and no per-state index.
 
     The bases alone fix every front's size, so the state cap is checked
-    before any keys are built.  Each position builds one Echelon of the
-    grown front, its rows tagged by coordinates in the grown basis: the
-    letters' moves are solved in it, and so are the next position's letters,
-    whose span inside the cut front goes on top of the next basis.  The cut
-    front is the left kernel of the grown basis restricted to the closing
-    bits.
+    before any keys are built.  The canonical vectors are tagged by their
+    coordinates over the grown basis: the letters' moves are read off the
+    tags, and so are the next position's letters, whose span inside the
+    cut front goes on top of the next basis.
 
     A key is (w << 2) | letter: w the state's least weight, letter (0..3 for
     I, X, Y, Z) the first in that order reaching it at w, so one minimum per
-    letter finds both.  Only the current front's keys stay live; the trail
-    keeps each front's letters, 2 bits per state, and the witness is rebuilt
-    backward from them in coordinates (_dp_witness).  Among the target states
-    of least weight the least state is picked.  A code with more qubits than
-    the 14-bit weight field holds raises CapacityError.
+    letter finds both.  Only the current front's keys stay live, in two
+    buffers of the largest front's size and a scratch of half that; the
+    trail keeps each front's letters, 2 bits per state, and the witness is
+    rebuilt backward from them in coordinates (_dp_witness).  Among the
+    target states of least weight the least state is picked, so the result
+    does not depend on the chosen bases.  A code with more qubits than the
+    14-bit weight field holds raises CapacityError.
     """
     st = get_structure(code)
     rows = st.detector_rows(mode)
@@ -369,67 +564,69 @@ def distance_dp(
     contribs = [(0, *(combine(dm, state_bits) | cm << det_width
                       for dm, cm in zip(det[q], cls[q]))) for q in order]
     closes = [0] * n
+    opens: List[List[int]] = [[] for _ in range(n)]
     for i, p in enumerate(last):
         closes[p] |= state_bits[i]
+        opens[first[i]].append(i)
 
     # the algebra pass, before any key array exists.  basis is front p's
-    # chosen basis, its top d vectors a basis of V ∩ front
+    # chosen basis, its top d vectors a basis of V ∩ front; canon holds the
+    # front's canonical basis tagged over the grown basis (basis, then V's
+    # new directions)
     basis: List[int] = []
+    canon = _CanonicalBasis(det_width, nbits, n)
     dims = [0]
     steps = []
     d = 0
     peak = 1
     for p in range(n):
+        for i in opens[p]:
+            canon.open(bit_of[i], last[i])
         _, cx, cy, cz = contribs[p]
-        # tagged by coordinates over the grown basis: basis, then V's new
-        # directions, added only when independent so tag j is grown[j]
-        ech = Echelon(basis, nbits)
-        grown = list(basis)
+        grown = len(basis)
         for v in (cx, cz):
-            if ech.solve(v) is None:
-                ech.extend((v,))
-                grown.append(v)
+            if canon.solve(v) is None:
+                canon.add(v, 1 << grown)
+                grown += 1
         low = len(basis) - d
-        t = len(grown) - low
-        moves = [0] + [ech.solve(v) >> low for v in (cx, cy, cz)]
-        # the cut front: the grown coordinates x whose state
-        # combine(x, grown) has its closing bits zero
+        t = grown - low
+        moves = [0] + [canon.solve(v) >> low for v in (cx, cy, cz)]
         close = closes[p]
-        kernel = Echelon([g & close for g in grown], nbits).kernel
-        size = 1 << len(kernel)
+        canon.cut(close)
+        size = 1 << len(canon.rows)
         peak = max(peak, size)
         if size > budgets.dp_state_cap:
             raise CapacityError(
                 f"transfer DP front has {size} states at position {p} > cap {budgets.dp_state_cap}",
                 required=size, cap=budgets.dp_state_cap,
             )
-        # the next chosen basis, in grown coordinates: a basis of
-        # V_{p+1} ∩ front on top of the rest of the cut front
+        # V_{p+1} ∩ front goes on top of the next chosen basis
         span = Echelon()
         shared = []
         if p + 1 < n:
-            inside = (ech.solve(v) for v in contribs[p + 1][1:] if not v & close)
-            shared = [x for x in inside if x is not None and span.extend((x,))]
-        coords = [x for x in kernel if span.extend((x,))] + shared
-        steps.append((d, t, moves, coords))
-        basis = [combine(x, grown) for x in coords]
+            shared = [v for v in contribs[p + 1][1:]
+                      if not v & close and canon.solve(v) is not None and span.extend((v,))]
+        coords, c, f, basis = _next_layout(canon, shared, low, len(basis), 4 >> (t - d))
+        steps.append((d, t, moves, coords, c, f))
         dims.append(len(basis))
         d = len(shared)
 
     # keys[i] is the key of the state combine(i, basis) of the current
-    # front; trail[p] keeps only the letters of front p, packed
-    keys = np.zeros(1, dtype=np.uint16)
-    trail = [_pack_letters(keys)]
-    for d, t, moves, coords in steps:
+    # front, in one of two buffers of the largest front's size; trail[p]
+    # keeps only the letters of front p, packed
+    bufs = [np.zeros(max(peak, 2), dtype=np.uint16) for _ in range(2)]
+    tmp = np.empty(max(peak >> 1, 1 << max(step[5] for step in steps)), dtype=np.uint16)
+    keys = bufs[0][:1]
+    trail = [_pack_letters(keys, bufs[1])]
+    for p, step in enumerate(steps):
         keys &= ~np.uint16(3)  # the trail holds the letters; steps read weights
-        grown = _letter_step(keys, d, t, moves).reshape(-1)
-        keys = None  # freed before the gather
-        keys = _gather_span(grown, _span(coords[:_BLOCK_BITS]), _span(coords[_BLOCK_BITS:]))
-        del grown
-        trail.append(_pack_letters(keys))
+        keys = _move(bufs, tmp, dims[p], *step)
+        trail.append(_pack_letters(keys, bufs[1]))
 
     weights = keys >> 2
-    states = _span(basis)
+    states = np.zeros(1, dtype=np.int64)  # the last front's states, in order
+    for b in basis:
+        states = np.concatenate((states, states ^ b))
     sel = ((states >> det_width) & targets) != 0
     # every used class is carried by some logical, so some state reaches it
     certify(sel.any(), "DP front holds no target class")

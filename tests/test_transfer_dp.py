@@ -16,6 +16,7 @@ import random
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from conftest import run_optimized
 
@@ -32,6 +33,7 @@ from latstab import (
     metrics,
 )
 from latstab.errors import CapacityError, CertificateError, LatstabError
+from latstab.gf2 import Echelon, combine
 from latstab.zoo import FAMILIES
 
 SMALL = Budgets(mem_mb=1)
@@ -195,14 +197,18 @@ def test_letters_checked_against_final_state(monkeypatch):
         distance_dp(make_toric_2d(3))
 
 
-@pytest.mark.parametrize("L, front_peak, bound_mib", [(7, 65536, 3.5), (8, 262144, 7)],
-                         ids=["surface7", "surface8"])
-def test_traced_peak_stays_small(L, front_peak, bound_mib):
+@pytest.mark.parametrize("make, L, front_peak, bound_mib",
+                         [(make_surface_2d, 7, 65536, 3.5), (make_surface_2d, 8, 262144, 7),
+                          (make_toric_2d, 4, 262144, 2.42)],
+                         ids=["surface7", "surface8", "toric4"])
+def test_traced_peak_stays_small(make, L, front_peak, bound_mib):
     # numpy reports its buffers to tracemalloc, so the peak is deterministic.
     # Surface 7 read 6.35 MiB with a uint16 weight trail and 2.17 MiB with
     # letters; surface 8 read 9.37 MiB while each position built full int64
-    # index arrays, ~4.8 MiB with blocked gathers from the chosen bases
-    code = make_surface_2d(L)
+    # index arrays, ~4.8 MiB with blocked gathers from the chosen bases.
+    # Toric 4, a periodic sweep, read 2,539,558 bytes with blocked gathers
+    # and a grown front; its bound is 2.42 MiB, just under that reading
+    code = make(L)
     assert distance_dp(code).stats["front_peak"] == front_peak  # warm the structure
     tracemalloc.start()
     try:
@@ -232,19 +238,19 @@ def _random_local_gauge_codes(seed, count):
 
 
 def test_degenerate_letter_cases_match_bruteforce(monkeypatch):
-    # a position's letters span V = span{X, Z}; its letter step sees
+    # a position's letters span V = span{X, Z}; its move sees
     # (dim V ∩ front, directions of V new to the front).  Zoo positions have
     # three distinct nonzero letters, so only (0, 2), (1, 1) and (2, 0) occur
     # there; a weight-1 generator (Z = 0, Y = X) or a qubit whose letters are
     # all gauge (V = 0) gives the others
     seen = set()
-    step = metrics._letter_step
+    move = metrics._move
 
-    def spy(keys, d, t, moves):
+    def spy(bufs, tmp, dim, d, t, *layout):
         seen.add((d, t - d))
-        return step(keys, d, t, moves)
+        return move(bufs, tmp, dim, d, t, *layout)
 
-    monkeypatch.setattr(metrics, "_letter_step", spy)
+    monkeypatch.setattr(metrics, "_move", spy)
     for code in _random_local_gauge_codes(7, 60):
         st = get_structure(code)
         masks = [None] + [1 << b for b in range(2 * st.k)]
@@ -256,6 +262,85 @@ def test_degenerate_letter_cases_match_bruteforce(monkeypatch):
             assert dp.witness.weight() == dp.value
             assert st.is_logical(dp.witness, mode, mask)
     assert seen == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
+
+
+def _move_by_definition(keys, d, moves, coords):
+    """Key y of the next front: the least over letters of the key of the
+    grown state combine(y, coords) with the letter's move undone on its top
+    coordinates, plus the letter's cost, over the letters whose source lies
+    in the front (top coordinates below 2^d)."""
+    low = len(keys).bit_length() - 1 - d
+    out = []
+    for y in range(1 << len(coords)):
+        x = combine(y, coords)
+        out.append(min(int(keys[x ^ move << low]) + cost
+                       for move, cost in zip(moves, metrics._COSTS)
+                       if not (x >> low ^ move) >> d))
+    return out
+
+
+def _longest_run(coords, c, low):
+    """The largest f the move may read coords with after rotating c key
+    bits: coords[j] is 1 << (c + j), below low, a bit no other coordinate
+    holds, for every j < f."""
+    f = 0
+    while (f < len(coords) and c + f < low and coords[f] == 1 << (c + f)
+           and sum(x >> (c + f) & 1 for x in coords) == 1):
+        f += 1
+    return f
+
+
+def _random_step(rng, dim, d, t, shear):
+    """A front of 2^dim states and a step on it: the letters' moves span
+    the top t grown coordinates (the top d of them inside the front); a
+    rotation c; the next coordinates, a run of unit vectors from bit c,
+    then independent vectors of the grown front, unit or, with probability
+    shear, with extra bits off the run (top coordinates included)."""
+    low = dim - d
+    while True:
+        mx, mz = rng.randrange(1 << t), rng.randrange(1 << t)
+        if Echelon([mx, mz]).pivmask == (1 << t) - 1:
+            break
+    grown = low + t
+    c = rng.randint(0, low)
+    units = [1 << (c + j) for j in range(rng.randint(0, low - c))]
+    off_run = ((1 << grown) - 1) ^ sum(units)
+    coords, span = list(units), Echelon(units)
+    bits = [h for h in range(grown) if off_run >> h & 1]
+    rng.shuffle(bits)
+    for h in bits[:rng.randint(0, len(bits))]:
+        x = 1 << h
+        if rng.random() < shear:
+            x |= rng.randrange(1 << grown) & off_run
+        if span.extend((x,)):
+            coords.append(x)
+    keys = np.array([rng.randrange(1000) << 2 for _ in range(1 << dim)], dtype=np.uint16)
+    return keys, (0, mx, mx ^ mz, mz), coords, c
+
+
+@pytest.mark.parametrize("dim, shear", [(0, 0.0), (1, 0.5), (3, 0.0), (5, 0.5), (8, 1.0),
+                                        (14, 0.3)],
+                         ids=["one-state", "one-bit", "units", "sheared", "all-sheared",
+                              "batches"])
+def test_move_matches_elementwise_definition(dim, shear):
+    # every (d, t - d) case the front's dimension admits, t = 0 included,
+    # each read both by rows of one key (f = 0) and by its longest run; tmp
+    # holds an eighth of the larger front, and with 2^14 keys and f = 0 the
+    # table of rows spans several batches of metrics._TABLE_ROWS
+    rng = random.Random(dim)
+    for d, t in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
+        if d > dim:
+            continue
+        keys, moves, coords, c = _random_step(rng, dim, d, t, shear)
+        want = _move_by_definition(keys, d, moves, coords)
+        for f in sorted({0, _longest_run(coords, c, dim - d)}):
+            size = max(len(keys), 1 << len(coords))
+            bufs = [np.zeros(size, dtype=np.uint16), np.zeros(size, dtype=np.uint16)]
+            bufs[0][:len(keys)] = keys
+            tmp = np.empty(max(1 << f, size >> 3), dtype=np.uint16)
+            got = metrics._move(bufs, tmp, dim, d, t, moves, coords, c, f)
+            assert got.tolist() == want, (d, t, c, f, coords)
+            assert got.base is bufs[0] or got.base is bufs[0].base
 
 
 if __name__ == "__main__":
