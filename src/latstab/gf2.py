@@ -18,6 +18,16 @@ def low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def bits(x: int) -> List[int]:
+    """The set bits of x, lowest first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 def transpose(rows: Sequence[int], ncols: int) -> List[int]:
     """The rows' column table: bit i of entry c is bit c of rows[i], so for v
     below 2^ncols bit i of combine(v, table) is parity(v & rows[i]), read at

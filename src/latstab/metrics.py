@@ -34,7 +34,7 @@ from .errors import (
     certify,
 )
 from .geometry import axis_windows
-from .gf2 import Echelon, combine, gather, low_bit, nullspace, scatter
+from .gf2 import Echelon, bits, combine, gather, low_bit, nullspace, scatter
 from .groups import CodeStructure, get_structure
 from .pauli import LETTERS, PauliOp, letter_pairings
 
@@ -127,8 +127,8 @@ def distance_bruteforce(
     """Exact distance by weight-ordered enumeration of supports and letters.
 
     Returns the first (minimum-weight) operator passing the target predicate,
-    or a typed lower-bound result (d >= w) at the first weight w that
-    enumeration_refusal refuses.
+    certified like distance_dp's witness, or a typed lower-bound result
+    (d >= w) at the first weight w that enumeration_refusal refuses.
     """
     st = get_structure(code)
     n = code.n
@@ -155,6 +155,10 @@ def distance_bruteforce(
                         witness = PauliOp.from_letters(
                             n, [(q, LETTERS[li]) for q, li in zip(support, letters)]
                         )
+                        certify(witness.weight() == w,
+                                f"brute-force witness has weight {witness.weight()}, not {w}")
+                        certify(st.is_logical(witness, mode, class_mask),
+                                "brute-force witness is not a target logical")
                         return DistanceResult(
                             w, "exact", mode, "bruteforce", witness=witness,
                             stats={"examined": examined},
@@ -193,15 +197,6 @@ def _color_intervals(first: List[int], last: List[int]) -> Tuple[List[int], int]
     return colors, next_color
 
 
-def _bits(x: int) -> List[int]:
-    """The set bits of x, lowest first."""
-    out = []
-    while x:
-        out.append(low_bit(x))
-        x &= x - 1
-    return out
-
-
 class _CanonicalBasis:
     """A basis of a DP front in which each vector's pivot is its
     soonest-closing detector bit (ties broken by bit) and no other vector
@@ -237,7 +232,7 @@ class _CanonicalBasis:
         used = tag = 0
         for pivots in (self.pivots & self.det_mask, self.pivots):
             held = v & pivots
-            for b in _bits(held):
+            for b in bits(held):
                 v ^= self.rows[b]
                 tag ^= self.tags[b]
             used |= held
@@ -260,7 +255,7 @@ class _CanonicalBasis:
         w, _, used_tag = self._reduce(v)
         tag ^= used_tag
         det = w & det_mask
-        piv = min(_bits(det), key=self.close_at.__getitem__) if det else low_bit(w)
+        piv = min(bits(det), key=self.close_at.__getitem__) if det else low_bit(w)
         for q, u in self.rows.items():
             if u >> piv & 1 and (det or not u & det_mask):
                 self.rows[q] = u ^ w
@@ -271,7 +266,7 @@ class _CanonicalBasis:
 
     def cut(self, close: int) -> None:
         """Keep the span's states whose ``close`` bits are zero."""
-        for b in _bits(close & self.pivots):
+        for b in bits(close & self.pivots):
             del self.rows[b], self.tags[b]
         self.pivots &= ~close
 
@@ -280,11 +275,11 @@ def _move_cost(dim: int, m: int, slots: int, c: int, f: int) -> float:
     """Estimated ns of _move from a front of 2^dim keys to one of 2^m with
     ``slots`` letters per state, rotating c key bits and copying runs of 2^f
     keys.  Per-key costs of numpy's copies and takes on a 2-core x86 host:
-    a rotation reads each key once (a 32-bit view splits one bit, a
-    transposed copy more); a take costs more per key the shorter its runs,
-    and every letter adds and takes a minimum; the block table costs about
-    (10 + 4 * slots) ns per block."""
-    rotate = 0.0 if c == 0 else 0.25 if c == 1 else 0.45 + 0.05 * c
+    a rotation is one transposed copy of the keys, dearer the more bits it
+    moves; a take costs more per key the shorter its runs, and every letter
+    adds and takes a minimum; the block table costs about (10 + 4 * slots) ns
+    per block."""
+    rotate = 0.0 if c == 0 else 0.45 + 0.05 * c
     take = (1.5, 0.41, 0.2, 0.13, 0.09)[min(f, 4)] + 0.12
     return rotate * (1 << dim) + take * slots * (1 << m) + (10 + 4 * slots) * (1 << (m - f))
 
@@ -314,7 +309,7 @@ def _next_layout(canon: _CanonicalBasis, shared: List[int], low: int, dim: int,
             if coef >> b & 1:
                 coef ^= prior
                 combo ^= prior_combo
-        b = max(_bits(coef), key=canon.close_at.__getitem__)
+        b = max(bits(coef), key=canon.close_at.__getitem__)
         done.append((b, coef, combo))
         drop |= 1 << b
     units, others = [], []
@@ -343,9 +338,9 @@ def _next_layout(canon: _CanonicalBasis, shared: List[int], low: int, dim: int,
         tags[b] = 1 << j
     for b, coef, combo in reversed(done):
         tag = 0
-        for i in _bits(combo):
+        for i in bits(combo):
             tag ^= 1 << (len(kept) + i)
-        for q in _bits(coef ^ 1 << b):
+        for q in bits(coef ^ 1 << b):
             tag ^= tags[q]
         tags[b] = tag
     return coords, c, run[c], [canon.rows[b] for b in kept] + shared
@@ -363,14 +358,7 @@ def _rotate(keys: "np.ndarray", c: int, out: "np.ndarray") -> None:
     key i goes to (i >> c) | (i % 2^c) << (dim - c).  keys is scratch
     afterwards."""
     q = len(keys) >> c
-    if c == 1:
-        # a little-endian 32-bit word holds keys 2j (low half) and 2j + 1
-        words = keys.view("<u4")
-        np.copyto(out[:q], words, casting="unsafe")
-        words >>= 16
-        np.copyto(out[q:], words, casting="unsafe")
-    else:
-        np.copyto(out.reshape(1 << c, q), keys.reshape(q, 1 << c).T)
+    np.copyto(out.reshape(1 << c, q), keys.reshape(q, 1 << c).T)
 
 
 # rows of the next front whose source rows _move computes at a time
@@ -540,11 +528,7 @@ def distance_dp(
     # not the identity, the rows of S are independent)
     first, last = [], []
     for row in rows:
-        supp = (row & mask_n) | (row >> n)
-        ps = []
-        while supp:
-            ps.append(pos_of[low_bit(supp)])
-            supp &= supp - 1
+        ps = [pos_of[q] for q in bits((row & mask_n) | (row >> n))]
         first.append(min(ps))
         last.append(max(ps))
     bit_of, det_width = _color_intervals(first, last)

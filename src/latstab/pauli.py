@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import DimensionError, ValidationError
-from .gf2 import parity
+from .gf2 import bits, parity
 
 _LETTERS = ("I", "X", "Z", "Y")  # indexed by x + 2*z
 LETTERS = ("X", "Y", "Z")  # the order of letter_pairings' triples
@@ -93,13 +93,7 @@ class PauliOp:
         return (self.x | self.z).bit_count()
 
     def support(self) -> list[int]:
-        s = self.x | self.z
-        out = []
-        while s:
-            low = s & -s
-            out.append(low.bit_length() - 1)
-            s ^= low
-        return out
+        return bits(self.x | self.z)
 
     def support_mask(self) -> int:
         return self.x | self.z
@@ -107,18 +101,12 @@ class PauliOp:
     def letter(self, qubit: int) -> str:
         return _LETTERS[((self.x >> qubit) & 1) + 2 * ((self.z >> qubit) & 1)]
 
-    def restrict(self, qubits) -> "PauliOp":
-        """Restriction onto a qubit subset (int mask or iterable of indices).
+    def restrict(self, mask: int) -> "PauliOp":
+        """Restriction onto the qubits set in mask.
 
-        Agrees with self on the subset, identity elsewhere; a homomorphism of
-        the projective group.
+        Agrees with self on them, identity elsewhere; a homomorphism of the
+        projective group.
         """
-        if isinstance(qubits, int):
-            mask = qubits
-        else:
-            mask = 0
-            for q in qubits:
-                mask |= 1 << q
         return PauliOp(self.n, self.x & mask, self.z & mask)
 
     def letters(self) -> Iterator[tuple[int, str]]:

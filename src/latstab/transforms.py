@@ -29,7 +29,7 @@ from .errors import (
     certify,
 )
 from .geometry import Region, axis_windows, boundary_shell, strip_partition
-from .gf2 import Echelon, combine, gather
+from .gf2 import Echelon, bits, combine, gather
 from .groups import CosetReducer, _restricted_k, contained_subgroup, get_structure
 from .metrics import _lightest_logical, distance, enumeration_refusal, linear_distance
 from .pauli import PauliOp
@@ -42,13 +42,6 @@ class CleanResult:
     cleaned: Optional[PauliOp] = None
     trapped: Optional[PauliOp] = None
     generator_indices: Tuple[int, ...] = ()
-
-
-def _cleaned(st, op: PauliOp, mult: PauliOp, mask: int, used=()) -> CleanResult:
-    cleaned = op.mul(mult)
-    certify(cleaned.restrict(mask).is_identity, "cleaned operator still acts on the region")
-    certify(st.S.contains(mult), "cleaning multiplier is not a stabilizer")
-    return CleanResult("cleaned", mult, cleaned, generator_indices=tuple(used))
 
 
 def _trapped(st, mask: int) -> CleanResult:
@@ -73,21 +66,12 @@ def clean_stabilizer(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult
     if code.role != STABILIZER:
         raise ContractViolation("clean_stabilizer needs a stabilizer code")
     st = get_structure(code)
-    if st.stab_syndrome_vec(op.vector):
+    if st.stab_syndrome_vec(st._vector(op)):
         raise ContractViolation("operator is not in the centralizer of the stabilizer group")
     mask = code.qubit_mask_in(region)
-    restricted = op.restrict(mask)
-    if restricted.is_identity:
-        return CleanResult("cleaned", PauliOp.identity(code.n), op)
     overlapping = [a for a, g in enumerate(code.generators) if g.support_mask() & mask]
-    vectors = [code.generators[a].vector for a in overlapping]
-    m2 = mask | (mask << code.n)
-    coeff = Echelon([v & m2 for v in vectors], 2 * code.n).solve(restricted.vector)
-    if coeff is not None:
-        used = [a for i, a in enumerate(overlapping) if (coeff >> i) & 1]
-        mult = PauliOp.from_vector(code.n, combine(coeff, vectors))
-        return _cleaned(st, op, mult, mask, used)
-    return _trapped(st, mask)
+    rows = [st.gen_vectors[a] for a in overlapping]
+    return _clean_on(st, op, mask, rows, indices=overlapping)
 
 
 def clean_subsystem(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
@@ -97,25 +81,39 @@ def clean_subsystem(code: CodeSpec, op: PauliOp, region: Region) -> CleanResult:
     if st.syndrome(op):
         raise ContractViolation("operator is not in the centralizer of the gauge group")
     mask = code.qubit_mask_in(region)
-    return _clean_on(st, op, mask, _stabilizers_on(st, mask))
+    return _clean_on(st, op, mask, st.S.rows)
 
 
-def _stabilizers_on(st, mask: int) -> Echelon:
-    """The stabilizer rows cut to the masked qubits, factored once so every
-    operator cleaned off the same qubits reuses them."""
-    m2 = mask | (mask << st.n)
-    return Echelon([r & m2 for r in st.S.rows], 2 * st.n)
+def _factored_on(rows, mask: int, n: int) -> Echelon:
+    """The rows cut to the masked qubits, factored once so every operator
+    cleaned off the same qubits reuses them."""
+    m2 = mask | (mask << n)
+    return Echelon([r & m2 for r in rows], 2 * n)
 
 
-def _clean_on(st, op: PauliOp, mask: int, stabilizers: Echelon) -> CleanResult:
-    """clean_subsystem for an operator in C(G), against _stabilizers_on(st, mask)."""
+def _clean_on(st, op: PauliOp, mask: int, rows, factored: Optional[Echelon] = None,
+              indices=None) -> CleanResult:
+    """The cleaning lemma, for an op its caller checked against the group:
+    op times the product of the rows (stabilizers) that
+    _factored_on(rows, mask, n) solves for op's restriction to the mask,
+    which then acts trivially there, or a logical trapped in the mask when no
+    product does.  A caller cleaning many operators off one mask passes that
+    factorization as ``factored``; otherwise it is built only when op acts on
+    the mask.  indices, when given, name the rows in generator_indices."""
     restricted = op.restrict(mask)
     if restricted.is_identity:
         return CleanResult("cleaned", PauliOp.identity(st.n), op)
-    coeff = stabilizers.solve(restricted.vector)
-    if coeff is not None:
-        return _cleaned(st, op, PauliOp.from_vector(st.n, combine(coeff, st.S.rows)), mask)
-    return _trapped(st, mask)
+    if factored is None:
+        factored = _factored_on(rows, mask, st.n)
+    coeff = factored.solve(restricted.vector)
+    if coeff is None:
+        return _trapped(st, mask)
+    mult = PauliOp.from_vector(st.n, combine(coeff, rows))
+    cleaned = op.mul(mult)
+    certify(cleaned.restrict(mask).is_identity, "cleaned operator still acts on the region")
+    certify(st.S.contains(mult), "cleaning multiplier is not a stabilizer")
+    used = () if indices is None else tuple(indices[i] for i in bits(coeff))
+    return CleanResult("cleaned", mult, cleaned, generator_indices=used)
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ def strip_sweep(code: CodeSpec, axis: int = 0) -> SweepResult:
     strips = strip_partition(code.lattice, r, axis)
     widths = tuple(s_.size // code.lattice.L ** (code.lattice.D - 1) for s_ in strips)
     even_mask = code.qubit_mask_in(reduce(Region.union, strips[1::2]))
-    even_stabilizers = _stabilizers_on(st, even_mask)
+    even_stabilizers = _factored_on(st.S.rows, even_mask, code.n)
     candidates: List[Tuple[int, int, int, PauliOp, str]] = []
 
     @cache  # every start logical reuses the odd strips and the even union
@@ -171,7 +169,7 @@ def strip_sweep(code: CodeSpec, axis: int = 0) -> SweepResult:
 
     for start in (p for pair in st.logicals.pairs for p in pair):
         # a logical pair lies in C(G), as clean_subsystem requires
-        res = _clean_on(st, start, even_mask, even_stabilizers)
+        res = _clean_on(st, start, even_mask, st.S.rows, even_stabilizers)
         if res.outcome == "trapped_logical":
             consider(res.trapped, even_mask, "strip_sweep_trapped")
             continue

@@ -2,7 +2,15 @@
 
 import pytest
 
-from latstab import CodeSpec, Lattice, PauliOp, Region, make_repetition_1d, span_basis
+from latstab import (
+    CodeSpec,
+    Lattice,
+    PauliOp,
+    Region,
+    clean_stabilizer,
+    make_repetition_1d,
+    span_basis,
+)
 from latstab.audit import audit_family
 from latstab.errors import (
     DimensionError,
@@ -16,6 +24,7 @@ from latstab.geometry import axis_window_region, boundary_shell, strip_widths
 LAT = Lattice(2, 3)
 OTHER = Lattice(2, 4)
 REP = make_repetition_1d(3)
+SITE0 = Region.from_box(REP.lattice, (0,), (1,))
 
 CASES = [
     ("lattice_boundary", lambda: Lattice(2, 3, "x"), DimensionError, "boundary"),
@@ -40,6 +49,13 @@ CASES = [
      "outside 0..1"),
     ("letter_unknown", lambda: PauliOp.from_letters(2, [(0, "Q")]), ValidationError,
      "unknown Pauli letter"),
+    # operators on another qubit count: off the region, anticommuting, too wide
+    ("clean_n_off_region", lambda: clean_stabilizer(REP, PauliOp(2, 0, 0b10), SITE0),
+     DimensionError, "acts on 2 qubits, code has 3"),
+    ("clean_n_fewer", lambda: clean_stabilizer(REP, PauliOp(2, 1), SITE0), DimensionError,
+     "acts on 2 qubits, code has 3"),
+    ("clean_n_more", lambda: clean_stabilizer(REP, PauliOp(8, 1 << 7), SITE0), DimensionError,
+     "acts on 8 qubits, code has 3"),
 ]
 
 

@@ -2,6 +2,7 @@ import inspect
 
 import pytest
 
+import latstab.metrics as metrics
 from latstab import (
     Budgets,
     PauliOp,
@@ -19,8 +20,9 @@ from latstab import (
     make_surface_2d,
     make_toric_2d,
 )
-from latstab.errors import ContractViolation, DimensionError, ValidationError
+from latstab.errors import CertificateError, ContractViolation, DimensionError, ValidationError
 from latstab.metrics import WalkTrace
+from latstab.pauli import letter_pairings
 
 from conftest import brute_min_weight, run_optimized
 
@@ -306,6 +308,18 @@ def test_negative_class_mask_rejected(engine, mask):
         engine(make_toric_2d(3), mask)
 
 
+def _x_for_z(table, n):
+    # X and Z swapped on every qubit: the enumerated letters no longer name
+    # the operators whose pairings they carry
+    return [(z, y, x) for x, y, z in letter_pairings(table, n)]
+
+
+def test_bruteforce_witness_is_certified(monkeypatch):
+    monkeypatch.setattr(metrics, "letter_pairings", _x_for_z)
+    with pytest.raises(CertificateError, match="brute-force witness is not a target logical"):
+        distance_bruteforce(make_repetition_1d(3))
+
+
 @pytest.mark.parametrize("script", [
     # walk bound: the rebuilt walk stops one letter short of the witness
     "import latstab.metrics as m\n"
@@ -321,7 +335,13 @@ def test_negative_class_mask_rejected(engine, mask):
     "op = code.parse_op('X(1,0) X(1,2) X(1,4)')\n"
     "region = Region.from_box(code.lattice, [0, 0], [3, 1])\n"
     "call = lambda: t.clean_stabilizer(code, op, region)\n",
-], ids=["walk_bound", "clean_trapped"])
+    # brute force: X and Z swapped in the letter tables it enumerates
+    "import latstab.metrics as m\n"
+    "from latstab import make_repetition_1d\n"
+    "real = m.letter_pairings\n"
+    "m.letter_pairings = lambda table, n: [(z, y, x) for x, y, z in real(table, n)]\n"
+    "call = lambda: m.distance_bruteforce(make_repetition_1d(3))\n",
+], ids=["walk_bound", "clean_trapped", "bruteforce_letters"])
 def test_failed_certificate_raises_under_optimize(script):
     script += (
         "from latstab import CertificateError\n"

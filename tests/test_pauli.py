@@ -108,8 +108,8 @@ def test_dimension_errors():
 
 def test_restrict_basics():
     op = P(3, [(0, "X"), (1, "X"), (2, "X")])
-    assert op.restrict([0, 1]) == P(3, [(0, "X"), (1, "X")])
-    assert op.restrict([]).is_identity
+    assert op.restrict(0b011) == P(3, [(0, "X"), (1, "X")])
+    assert op.restrict(0).is_identity
     assert op.restrict(0b111) == op
 
 

@@ -290,10 +290,10 @@ def _longest_run(coords, c, low):
     return f
 
 
-def _random_step(rng, dim, d, t, shear):
-    """A front of 2^dim states and a step on it: the letters' moves span
-    the top t grown coordinates (the top d of them inside the front); a
-    rotation c; the next coordinates, a run of unit vectors from bit c,
+def _random_step(rng, dim, d, t, c, shear):
+    """A front of 2^dim states and a step on it that rotates c key bits:
+    the letters' moves span the top t grown coordinates (the top d of them
+    inside the front); the next coordinates, a run of unit vectors from bit c,
     then independent vectors of the grown front, unit or, with probability
     shear, with extra bits off the run (top coordinates included)."""
     low = dim - d
@@ -302,7 +302,6 @@ def _random_step(rng, dim, d, t, shear):
         if Echelon([mx, mz]).pivmask == (1 << t) - 1:
             break
     grown = low + t
-    c = rng.randint(0, low)
     units = [1 << (c + j) for j in range(rng.randint(0, low - c))]
     off_run = ((1 << grown) - 1) ^ sum(units)
     coords, span = list(units), Echelon(units)
@@ -315,7 +314,7 @@ def _random_step(rng, dim, d, t, shear):
         if span.extend((x,)):
             coords.append(x)
     keys = np.array([rng.randrange(1000) << 2 for _ in range(1 << dim)], dtype=np.uint16)
-    return keys, (0, mx, mx ^ mz, mz), coords, c
+    return keys, (0, mx, mx ^ mz, mz), coords
 
 
 @pytest.mark.parametrize("dim, shear", [(0, 0.0), (1, 0.5), (3, 0.0), (5, 0.5), (8, 1.0),
@@ -324,23 +323,29 @@ def _random_step(rng, dim, d, t, shear):
                               "batches"])
 def test_move_matches_elementwise_definition(dim, shear):
     # every (d, t - d) case the front's dimension admits, t = 0 included,
-    # each read both by rows of one key (f = 0) and by its longest run; tmp
-    # holds an eighth of the larger front, and with 2^14 keys and f = 0 the
-    # table of rows spans several batches of metrics._TABLE_ROWS
+    # with every rotation c, each read both by rows of one key (f = 0) and
+    # by its longest run; tmp holds an eighth of the larger front, and with
+    # 2^14 keys and f = 0 the table of rows spans several batches of
+    # metrics._TABLE_ROWS
     rng = random.Random(dim)
     for d, t in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
         if d > dim:
             continue
-        keys, moves, coords, c = _random_step(rng, dim, d, t, shear)
-        want = _move_by_definition(keys, d, moves, coords)
-        for f in sorted({0, _longest_run(coords, c, dim - d)}):
-            size = max(len(keys), 1 << len(coords))
-            bufs = [np.zeros(size, dtype=np.uint16), np.zeros(size, dtype=np.uint16)]
-            bufs[0][:len(keys)] = keys
-            tmp = np.empty(max(1 << f, size >> 3), dtype=np.uint16)
-            got = metrics._move(bufs, tmp, dim, d, t, moves, coords, c, f)
-            assert got.tolist() == want, (d, t, c, f, coords)
-            assert got.base is bufs[0] or got.base is bufs[0].base
+        for c in range(dim - d + 1):
+            _check_move(rng, dim, d, t, c, shear)
+
+
+def _check_move(rng, dim, d, t, c, shear):
+    keys, moves, coords = _random_step(rng, dim, d, t, c, shear)
+    want = _move_by_definition(keys, d, moves, coords)
+    for f in sorted({0, _longest_run(coords, c, dim - d)}):
+        size = max(len(keys), 1 << len(coords))
+        bufs = [np.zeros(size, dtype=np.uint16), np.zeros(size, dtype=np.uint16)]
+        bufs[0][:len(keys)] = keys
+        tmp = np.empty(max(1 << f, size >> 3), dtype=np.uint16)
+        got = metrics._move(bufs, tmp, dim, d, t, moves, coords, c, f)
+        assert got.tolist() == want, (d, t, c, f, coords)
+        assert got.base is bufs[0] or got.base is bufs[0].base
 
 
 if __name__ == "__main__":

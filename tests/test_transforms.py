@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from itertools import product
 
 import pytest
@@ -202,6 +203,56 @@ def test_strip_sweep_pinned(key):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SWEEP_PINS[key]
 
 
+def _op_record(op):
+    return None if op is None else [op.n, op.x, op.z]
+
+
+def _cleaning_records():
+    """Seeded clean_stabilizer (stabilizer codes), clean_subsystem and
+    strip_sweep results, every field of each, in one list."""
+    codes = [make_toric_2d(3), make_toric_2d(4), make_surface_2d(3), make_surface_2d(4),
+             make_bacon_shor_2d(3), make_bacon_shor_2d(4), make_steane_chain(3),
+             make_heisenberg_gauge(1, 5)]
+    records = []
+    for code in codes:
+        rng = random.Random(code.name)
+        st = get_structure(code)
+        cleans = [clean_subsystem] + [clean_stabilizer] * (code.role == "stabilizer")
+        for i in range(24):
+            # regions of density 1/2, 1/4 and 1/8
+            mask = -1
+            for _ in range(1 + i % 3):
+                mask &= rng.getrandbits(code.lattice.n_sites)
+            region = Region(code.lattice, mask)
+            op = random_centralizer_element(rng, st, bare=True)
+            for clean in cleans:
+                res = clean(code, op, region)
+                records.append([code.name, clean.__name__, res.outcome,
+                                *map(_op_record, (res.stabilizer, res.cleaned, res.trapped)),
+                                list(res.generator_indices)])
+        for axis in range(code.lattice.D):
+            try:
+                res = strip_sweep(code, axis=axis)
+            except PreconditionError as exc:  # Steane chain 3: L is below 2(r-1)^2
+                records.append([code.name, "strip_sweep", str(exc)])
+                continue
+            records.append([code.name, "strip_sweep", _op_record(res.witness), res.extent,
+                            res.axis, res.method, list(res.strip_widths), res.class_bits])
+    return records
+
+
+# SHA-256 of _cleaning_records(), recorded before clean_stabilizer and
+# clean_subsystem shared one cleaning body
+CLEANING_SHA = "64941884d50ed85b54913c6a3775a9e313e6468bcead67e8a209c2718b8b6d44"
+
+
+def test_cleaning_outputs_are_pinned():
+    records = _cleaning_records()
+    assert {r[2] for r in records if r[1] != "strip_sweep"} == {"cleaned", "trapped_logical"}
+    text = json.dumps(records)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLEANING_SHA
+
+
 def test_strip_sweep_needs_logicals():
     # a code with k = 0: single qubit fully fixed by its stabilizer
     code = CodeSpec("fixed", Lattice(1, 2), "stabilizer", 2,
@@ -210,7 +261,7 @@ def test_strip_sweep_needs_logicals():
         strip_sweep(code)
 
 
-def _clean_to_identity(st, op, mask, stabilizers):
+def _clean_to_identity(st, *_):
     # a cleaning that leaves nothing, so no sweep candidate certifies
     return transforms.CleanResult("cleaned", cleaned=PauliOp.identity(st.n))
 
